@@ -92,9 +92,10 @@ bakeoff:
 # Key benchmarks, each pinned by the regression gate: analyzer window
 # analysis (serial + sharded), incident folding, pipeline ingest, the
 # pod-sharded simulation engine (serial vs 2/4 shards), the streaming
-# hub fan-out, and the tsdb follower catch-up.
-BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup)$$
-BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/localizer ./internal/api ./internal/tsdb
+# hub fan-out, the tsdb follower catch-up, and one upload round trip
+# over loopback (boxed and flat).
+BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup|BenchmarkWireUpload)$$
+BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/localizer ./internal/api ./internal/tsdb ./internal/wire
 
 bench-json:
 	$(GO) build -o bin/benchdiff ./cmd/benchdiff
@@ -148,8 +149,10 @@ determinism:
 	GOMAXPROCS=8 $(GO) test -count=2 ./internal/chaos -run 'TestDeterminism|TestShardedScenario'
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestFedDeterminism' ./internal/fed ./internal/chaos
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestFedDeterminism' ./internal/fed ./internal/chaos
-	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestRecordsEncodeDeterministic|TestSketchDeterministic' ./internal/proto ./internal/tsdb
-	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestRecordsEncodeDeterministic|TestSketchDeterministic' ./internal/proto ./internal/tsdb
+	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestRecordsEncodeDeterministic|TestBatchEncoderInternsInOrder|TestSketchDeterministic' ./internal/proto ./internal/tsdb
+	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestRecordsEncodeDeterministic|TestBatchEncoderInternsInOrder|TestSketchDeterministic' ./internal/proto ./internal/tsdb
+	GOMAXPROCS=1 $(GO) test -count=2 -run 'FuzzReadFrame|FuzzUploadFrame|TestUploadDeliversWhatWasSent' ./internal/wire
+	GOMAXPROCS=8 $(GO) test -count=2 -run 'FuzzReadFrame|FuzzUploadFrame|TestUploadDeliversWhatWasSent' ./internal/wire
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon' ./internal/sim

@@ -100,8 +100,9 @@ func runnerGate(base, cand *Snapshot) (warning string, err error) {
 }
 
 // benchLine matches `BenchmarkName-8  	 100	 12345 ns/op	 64 B/op	 2 allocs/op`
-// (the memory columns are optional).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ B/op\s+([0-9]+) allocs/op)?`)
+// (the memory columns are optional, and b.ReportMetric columns may sit
+// between ns/op and them).
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s[0-9.]+ B/op\s+([0-9]+) allocs/op)?`)
 
 // parse reads go-test benchmark text and keeps the per-name minimum.
 func parse(r io.Reader) (*Snapshot, error) {

@@ -12,6 +12,7 @@ BenchmarkAnalyzerWindow-8   	     120	   9876543 ns/op	 1234 B/op	  56 allocs/op
 BenchmarkAnalyzerWindow-8   	     130	   9500000 ns/op	 1234 B/op	  56 allocs/op
 BenchmarkPipelineIngest-8   	 2000000	       600.5 ns/op
 BenchmarkPipelineIngest-8   	 2100000	       580.2 ns/op
+BenchmarkWireUpload/Upload-8 	   60000	     18000 ns/op	         1.436 allocs/record	       290.3 ns/record	    7664 B/op	      89 allocs/op
 PASS
 ok  	rpingmesh	3.21s
 `
@@ -29,6 +30,10 @@ func TestParseKeepsMinimumAndStripsSuffix(t *testing.T) {
 	}
 	if _, ok := snap.NsPerOp["BenchmarkAnalyzerWindow-8"]; ok {
 		t.Fatal("GOMAXPROCS suffix not stripped")
+	}
+	// Custom metric columns do not hide the memory columns behind them.
+	if ns, allocs := snap.NsPerOp["BenchmarkWireUpload/Upload"], snap.AllocsPerOp["BenchmarkWireUpload/Upload"]; ns != 18000 || allocs != 89 {
+		t.Fatalf("WireUpload/Upload = %v ns/op, %v allocs/op, want 18000, 89", ns, allocs)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // The Fig-3 deployment end to end: Agents talk to the Controller over
-// REAL TCP (length-prefixed JSON frames) while the data plane runs in the
+// REAL TCP (internal/wire control frames) while the data plane runs in the
 // simulator. Registration, pinglist pulls, and service-tracing lookups
 // all cross the socket; the monitoring outcome must match the in-memory
 // wiring.

@@ -11,6 +11,7 @@ package proto
 import (
 	"encoding/binary"
 	"errors"
+	"hash/maphash"
 	"net/netip"
 
 	"rpingmesh/internal/rnic"
@@ -134,11 +135,9 @@ func (r *Records) Append(route int32, seq uint64, sentAt sim.Time, flags uint8, 
 	r.oneway = append(r.oneway, oneway)
 }
 
-// AppendResult adds one classic ProbeResult, interning a fresh route for
-// it. This is the compatibility path; hot producers intern routes once
-// via AddRoute and call Append.
-func (r *Records) AppendResult(p ProbeResult) {
-	ri := r.AddRoute(Route{
+// routeOf extracts a result's addressing fields (paths aliased).
+func routeOf(p *ProbeResult) Route {
+	return Route{
 		Kind:      p.Kind,
 		SrcDev:    p.SrcDev,
 		SrcHost:   p.SrcHost,
@@ -150,7 +149,11 @@ func (r *Records) AppendResult(p ProbeResult) {
 		DstQPN:    p.DstQPN,
 		ProbePath: p.ProbePath,
 		AckPath:   p.AckPath,
-	})
+	}
+}
+
+// resultFlags folds a result's verdict booleans into the flag byte.
+func resultFlags(p *ProbeResult) uint8 {
 	var fl uint8
 	if p.Timeout {
 		fl |= RecTimeout
@@ -158,7 +161,15 @@ func (r *Records) AppendResult(p ProbeResult) {
 	if p.OneWay {
 		fl |= RecOneWay
 	}
-	r.Append(ri, p.Seq, p.SentAt, fl, p.NetworkRTT, p.ProberDelay, p.ResponderDelay, p.OneWayDelay)
+	return fl
+}
+
+// AppendResult adds one classic ProbeResult, interning a fresh route for
+// it. This is the compatibility path; hot producers intern routes once
+// via AddRoute and call Append.
+func (r *Records) AppendResult(p ProbeResult) {
+	ri := r.AddRoute(routeOf(&p))
+	r.Append(ri, p.Seq, p.SentAt, resultFlags(&p), p.NetworkRTT, p.ProberDelay, p.ResponderDelay, p.OneWayDelay)
 }
 
 // DropFirst sheds the n oldest records in place (the agent's buffer-cap
@@ -290,7 +301,8 @@ type RecordSink interface {
 
 // --- flat binary encoding ----------------------------------------------
 //
-// Deterministic little-endian layout (version 1):
+// Deterministic little-endian layout (version 1). It is what the wire
+// carries for an upload (internal/wire's record frame):
 //
 //	u8  version
 //	str host            (u32 len + bytes)
@@ -308,6 +320,18 @@ const (
 	recordWireVersion = 1
 	maxWireString     = 4096
 	maxWirePath       = 1 << 16
+
+	// recordWireSize is one record's share of the column block; column c
+	// of an n-record batch starts at n × its col* offset.
+	recordWireSize = 53
+	colRouteIdx    = 0
+	colSeq         = 4
+	colSentAt      = 12
+	colFlags       = 20
+	colRTT         = 21
+	colProbD       = 29
+	colRespD       = 37
+	colOneWay      = 45
 )
 
 var errShortBuffer = errors.New("proto: record batch truncated")
@@ -340,6 +364,47 @@ func (w *wireWriter) path(p []topo.LinkID) {
 	for _, l := range p {
 		w.i64(int64(l))
 	}
+}
+func (w *wireWriter) header(host topo.HostID, sent sim.Time, seq uint64) {
+	w.u8(recordWireVersion)
+	w.str(string(host))
+	w.i64(int64(sent))
+	w.u64(seq)
+}
+func (w *wireWriter) route(rt *Route) {
+	w.u8(uint8(rt.Kind))
+	w.str(string(rt.SrcDev))
+	w.str(string(rt.SrcHost))
+	w.str(string(rt.DstDev))
+	w.str(string(rt.DstHost))
+	w.addr(rt.SrcIP)
+	w.addr(rt.DstIP)
+	w.u16(rt.SrcPort)
+	w.u32(uint32(rt.DstQPN))
+	w.path(rt.ProbePath)
+	w.path(rt.AckPath)
+}
+
+// columns appends the record count and a zeroed column block for n
+// records, returning the block for the caller to fill with putRecord.
+func (w *wireWriter) columns(n int) []byte {
+	w.u32(uint32(n))
+	off := len(w.b)
+	w.b = append(w.b, make([]byte, n*recordWireSize)...)
+	return w.b[off:]
+}
+
+// putRecord writes record i of n into its slot of every column.
+func putRecord(cols []byte, n, i int, route uint32, seq uint64, sentAt sim.Time, flags uint8, rtt, probd, respd, oneway sim.Time) {
+	le := binary.LittleEndian
+	le.PutUint32(cols[colRouteIdx*n+4*i:], route)
+	le.PutUint64(cols[colSeq*n+8*i:], seq)
+	le.PutUint64(cols[colSentAt*n+8*i:], uint64(sentAt))
+	cols[colFlags*n+i] = flags
+	le.PutUint64(cols[colRTT*n+8*i:], uint64(rtt))
+	le.PutUint64(cols[colProbD*n+8*i:], uint64(probd))
+	le.PutUint64(cols[colRespD*n+8*i:], uint64(respd))
+	le.PutUint64(cols[colOneWay*n+8*i:], uint64(oneway))
 }
 
 type wireReader struct {
@@ -441,56 +506,115 @@ func (r *wireReader) path() []topo.LinkID {
 
 // MarshalBinary encodes the batch in the deterministic flat layout.
 func (b *RecordBatch) MarshalBinary() ([]byte, error) {
-	w := wireWriter{b: make([]byte, 0, 64+len(b.routes)*96+b.Len()*41)}
-	w.u8(recordWireVersion)
-	w.str(string(b.Host))
-	w.i64(int64(b.Sent))
-	w.u64(b.Seq)
+	return b.AppendBinary(make([]byte, 0, 64+len(b.routes)*96+b.Len()*recordWireSize))
+}
+
+// AppendBinary appends the batch's flat encoding to dst and returns the
+// extended slice (encoding.BinaryAppender). The error is always nil.
+func (b *RecordBatch) AppendBinary(dst []byte) ([]byte, error) {
+	w := wireWriter{b: dst}
+	w.header(b.Host, b.Sent, b.Seq)
 	w.u32(uint32(len(b.routes)))
 	for i := range b.routes {
-		rt := &b.routes[i]
-		w.u8(uint8(rt.Kind))
-		w.str(string(rt.SrcDev))
-		w.str(string(rt.SrcHost))
-		w.str(string(rt.DstDev))
-		w.str(string(rt.DstHost))
-		w.addr(rt.SrcIP)
-		w.addr(rt.DstIP)
-		w.u16(rt.SrcPort)
-		w.u32(uint32(rt.DstQPN))
-		w.path(rt.ProbePath)
-		w.path(rt.AckPath)
+		w.route(&b.routes[i])
 	}
 	n := b.Len()
-	w.u32(uint32(n))
+	cols := w.columns(n)
 	for i := 0; i < n; i++ {
-		w.u32(uint32(b.routeIdx[i]))
-	}
-	for i := 0; i < n; i++ {
-		w.u64(b.seq[i])
-	}
-	for i := 0; i < n; i++ {
-		w.i64(int64(b.sentAt[i]))
-	}
-	w.b = append(w.b, b.flags...)
-	for i := 0; i < n; i++ {
-		w.i64(int64(b.rtt[i]))
-	}
-	for i := 0; i < n; i++ {
-		w.i64(int64(b.probd[i]))
-	}
-	for i := 0; i < n; i++ {
-		w.i64(int64(b.respd[i]))
-	}
-	for i := 0; i < n; i++ {
-		w.i64(int64(b.oneway[i]))
+		putRecord(cols, n, i, uint32(b.routeIdx[i]), b.seq[i], b.sentAt[i], b.flags[i], b.rtt[i], b.probd[i], b.respd[i], b.oneway[i])
 	}
 	return w.b, nil
 }
 
+// sameRoute reports whether two results belong on one route entry: every
+// addressing field equal, and the very same path slices — which is how
+// the results materialized from one route table entry share them.
+func sameRoute(a, b *ProbeResult) bool {
+	return a.SrcPort == b.SrcPort && a.DstQPN == b.DstQPN && a.Kind == b.Kind &&
+		samePath(a.ProbePath, b.ProbePath) && samePath(a.AckPath, b.AckPath) &&
+		a.DstDev == b.DstDev && a.SrcDev == b.SrcDev &&
+		a.DstHost == b.DstHost && a.SrcHost == b.SrcHost &&
+		a.DstIP == b.DstIP && a.SrcIP == b.SrcIP
+}
+
+func samePath(a, b []topo.LinkID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// routeSeed keys the encoder's hash table. It moves table slots, never
+// route numbers, so encodings do not depend on it.
+var routeSeed = maphash.MakeSeed()
+
+// BatchEncoder encodes boxed UploadBatches straight into RecordBatch's
+// flat layout, without building the RecordBatch. Results on the same
+// route (sameRoute) share one entry, numbered in order of first
+// appearance, so the encoding of b.ToUploadBatch() is that of b whenever
+// b's route table is free of duplicates and unused entries. The zero
+// value is ready to use; an encoder keeps its scratch between calls and
+// is not safe for concurrent use.
+type BatchEncoder struct {
+	table    []int32  // open-addressed: 1 + route number, 0 empty
+	first    []int    // first[r]: the first result on route r
+	routeIdx []uint32 // per result
+}
+
+// intern assigns each result its route number.
+func (e *BatchEncoder) intern(rs []ProbeResult) {
+	size := 8
+	for size < 2*len(rs) {
+		size <<= 1
+	}
+	if cap(e.table) < size {
+		e.table = make([]int32, size)
+	} else {
+		e.table = e.table[:size]
+		clear(e.table)
+	}
+	e.first, e.routeIdx = e.first[:0], e.routeIdx[:0]
+	mask := uint64(size - 1)
+	for i := range rs {
+		p := &rs[i]
+		h := maphash.String(routeSeed, string(p.DstDev)) ^ maphash.String(routeSeed, string(p.SrcDev)) ^
+			uint64(p.SrcPort)<<32 ^ uint64(p.DstQPN)
+		for slot := h & mask; ; slot = (slot + 1) & mask {
+			r := e.table[slot]
+			if r == 0 {
+				e.first = append(e.first, i)
+				r = int32(len(e.first))
+				e.table[slot] = r
+			} else if !sameRoute(p, &rs[e.first[r-1]]) {
+				continue
+			}
+			e.routeIdx = append(e.routeIdx, uint32(r-1))
+			break
+		}
+	}
+}
+
+// AppendBinary appends ub's flat encoding to dst and returns the
+// extended slice.
+func (e *BatchEncoder) AppendBinary(dst []byte, ub *UploadBatch) []byte {
+	e.intern(ub.Results)
+	w := wireWriter{b: dst}
+	w.header(ub.Host, ub.Sent, ub.Seq)
+	w.u32(uint32(len(e.first)))
+	for _, i := range e.first {
+		rt := routeOf(&ub.Results[i])
+		w.route(&rt)
+	}
+	n := len(ub.Results)
+	cols := w.columns(n)
+	for i := range ub.Results {
+		p := &ub.Results[i]
+		putRecord(cols, n, i, e.routeIdx[i], p.Seq, p.SentAt, resultFlags(p), p.NetworkRTT, p.ProberDelay, p.ResponderDelay, p.OneWayDelay)
+	}
+	return w.b
+}
+
 // UnmarshalBinary decodes data into b, replacing its contents. It never
 // panics on malformed input: any truncation, length-cap violation, bad
-// probe kind, or out-of-range route index yields an error.
+// probe kind, or out-of-range route index yields an error. Nothing in b
+// aliases data afterwards.
 func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 	r := wireReader{b: data}
 	if v := r.u8(); r.err == nil && v != recordWireVersion {
@@ -532,10 +656,15 @@ func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 	}
 
 	n := int(r.u32())
-	// Each record costs exactly 41 encoded bytes.
-	if r.err != nil || n > (len(data)-r.off)/41+1 {
+	// The column block is exactly what is left, which also bounds the
+	// column allocations by the bytes received.
+	if r.err != nil || n > (len(data)-r.off)/recordWireSize {
 		return errShortBuffer
 	}
+	if len(data)-r.off != n*recordWireSize {
+		return errors.New("proto: trailing bytes after record batch")
+	}
+	cols := data[r.off:]
 	dec := RecordBatch{Host: topo.HostID(host), Sent: sent, Seq: seq}
 	dec.routes = routes
 	if n > 0 {
@@ -548,40 +677,21 @@ func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 		dec.respd = make([]sim.Time, n)
 		dec.oneway = make([]sim.Time, n)
 	}
+	le := binary.LittleEndian
 	for i := 0; i < n; i++ {
-		ri := r.u32()
-		if r.err == nil && int(ri) >= len(routes) {
+		ri := le.Uint32(cols[colRouteIdx*n+4*i:])
+		if int(ri) >= len(routes) {
 			return errors.New("proto: route index out of range")
 		}
 		dec.routeIdx[i] = int32(ri)
+		dec.seq[i] = le.Uint64(cols[colSeq*n+8*i:])
+		dec.sentAt[i] = sim.Time(le.Uint64(cols[colSentAt*n+8*i:]))
+		dec.rtt[i] = sim.Time(le.Uint64(cols[colRTT*n+8*i:]))
+		dec.probd[i] = sim.Time(le.Uint64(cols[colProbD*n+8*i:]))
+		dec.respd[i] = sim.Time(le.Uint64(cols[colRespD*n+8*i:]))
+		dec.oneway[i] = sim.Time(le.Uint64(cols[colOneWay*n+8*i:]))
 	}
-	for i := 0; i < n; i++ {
-		dec.seq[i] = r.u64()
-	}
-	for i := 0; i < n; i++ {
-		dec.sentAt[i] = sim.Time(r.i64())
-	}
-	for i := 0; i < n; i++ {
-		dec.flags[i] = r.u8()
-	}
-	for i := 0; i < n; i++ {
-		dec.rtt[i] = sim.Time(r.i64())
-	}
-	for i := 0; i < n; i++ {
-		dec.probd[i] = sim.Time(r.i64())
-	}
-	for i := 0; i < n; i++ {
-		dec.respd[i] = sim.Time(r.i64())
-	}
-	for i := 0; i < n; i++ {
-		dec.oneway[i] = sim.Time(r.i64())
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(data) {
-		return errors.New("proto: trailing bytes after record batch")
-	}
+	copy(dec.flags, cols[colFlags*n:])
 	*b = dec
 	return nil
 }

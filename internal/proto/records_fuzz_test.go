@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -85,9 +86,9 @@ func FuzzRecordBatchRoundTrip(f *testing.F) {
 }
 
 // TestRecordsEncodeDeterministic pins the encoding as a pure function of
-// batch contents: building the same batch twice (and once via the boxed
-// compatibility path) yields byte-identical buffers. The determinism
-// make target runs this at GOMAXPROCS 1 and 8.
+// batch contents: building the same batch twice, and once from its boxed
+// form, yields byte-identical buffers. The determinism make target runs
+// this at GOMAXPROCS 1 and 8.
 func TestRecordsEncodeDeterministic(t *testing.T) {
 	a, err := sampleRecordBatch().MarshalBinary()
 	if err != nil {
@@ -112,6 +113,97 @@ func TestRecordsEncodeDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, c) {
 		t.Fatal("decode/re-encode changed the bytes")
+	}
+
+	// AppendBinary is MarshalBinary behind a prefix.
+	d, _ := sampleRecordBatch().AppendBinary([]byte("prefix"))
+	if !bytes.Equal(d, append([]byte("prefix"), a...)) {
+		t.Fatal("AppendBinary differs from MarshalBinary")
+	}
+
+	// The boxed encoder re-interns the sample's routes in the same order,
+	// so the boxed form encodes to the very same bytes — with fresh scratch
+	// and with scratch another batch has used.
+	var enc BatchEncoder
+	ub := sampleRecordBatch().ToUploadBatch()
+	for i := 0; i < 3; i++ {
+		if e := enc.AppendBinary(nil, &ub); !bytes.Equal(e, a) {
+			t.Fatalf("boxed encoding %d differs from the flat one", i)
+		}
+		other := manyRoutesBatch().ToUploadBatch()
+		enc.AppendBinary(nil, &other)
+	}
+}
+
+// manyRoutesBatch spreads records over more routes than one map bucket
+// holds, first seen in an order that is neither sorted nor the table's.
+func manyRoutesBatch() *RecordBatch {
+	b := &RecordBatch{Host: "host-0", Sent: 1, Seq: 1}
+	const routes = 48
+	for i := 0; i < routes; i++ {
+		b.AddRoute(Route{
+			Kind: InterToR, SrcDev: "rnic-0", SrcHost: "host-0",
+			DstDev: topo.DeviceID(fmt.Sprintf("rnic-%d", i)), DstHost: "host-1",
+			SrcPort: uint16(i), ProbePath: []topo.LinkID{topo.LinkID(i)},
+		})
+	}
+	for i := 0; i < 5*routes; i++ {
+		b.Append(int32(i*29%routes), uint64(i), sim.Time(i), 0, 100, 10, 10, 0)
+	}
+	return b
+}
+
+// TestBatchEncoderInternsInOrder pins route interning: results that
+// share addressing fields and path slices share one route entry, entries
+// are numbered by first appearance (never by map order), and equal paths
+// held in distinct slices stay distinct routes — so goldens and the
+// bench fingerprint cannot move with the encoder's scratch state.
+func TestBatchEncoderInternsInOrder(t *testing.T) {
+	src := manyRoutesBatch()
+	ub := src.ToUploadBatch()
+	var first []byte
+	for run := 0; run < 8; run++ {
+		var enc BatchEncoder
+		if run%2 == 1 {
+			warm := sampleRecordBatch().ToUploadBatch()
+			enc.AppendBinary(nil, &warm)
+		}
+		got := enc.AppendBinary(nil, &ub)
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("run %d encoded differently", run)
+		}
+	}
+	var dec RecordBatch
+	if err := dec.UnmarshalBinary(first); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Routes() != src.Routes() || dec.Len() != src.Len() {
+		t.Fatalf("decoded %d routes / %d records, want %d / %d", dec.Routes(), dec.Len(), src.Routes(), src.Len())
+	}
+	next := int32(0)
+	for i := 0; i < dec.Len(); i++ {
+		if ri := dec.RouteIndex(i); ri > next {
+			t.Fatalf("record %d introduces route %d before route %d", i, ri, next)
+		} else if ri == next {
+			next++
+		}
+	}
+	if !reflect.DeepEqual(dec.ToUploadBatch(), ub) {
+		t.Fatal("boxed encoding lost values")
+	}
+
+	// Same addressing, equal paths, different slices: two routes.
+	p := ub.Results[0]
+	p.ProbePath = append([]topo.LinkID(nil), p.ProbePath...)
+	two := UploadBatch{Host: "h", Results: []ProbeResult{ub.Results[0], p, ub.Results[0]}}
+	var enc BatchEncoder
+	if err := dec.UnmarshalBinary(enc.AppendBinary(nil, &two)); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Routes() != 2 || dec.RouteIndex(0) != 0 || dec.RouteIndex(1) != 1 || dec.RouteIndex(2) != 0 {
+		t.Fatalf("interned %d routes for two path identities", dec.Routes())
 	}
 }
 

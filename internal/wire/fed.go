@@ -1,8 +1,8 @@
 // Federation transport: the Hello/Heartbeat/VoteBatch/IncidentSync ops
-// of the internal/fed coordination tier, carried over the same
-// length-prefixed JSON frames as the agent↔controller protocol. The
-// Server side delegates to a FedBackend (a fed node's coordination
-// state); the Client side is what a peer node dials.
+// of the internal/fed coordination tier, carried as control frames
+// (JSON) like the agent↔controller ops. The Server side delegates to a
+// FedBackend (a fed node's coordination state); the Client side is what
+// a peer node dials.
 
 package wire
 

@@ -1,11 +1,33 @@
 // Package wire carries the Agent ↔ Controller ↔ Analyzer protocol over
 // TCP, as in the paper's deployment where the three modules interact over
-// the management network (Fig 3). Frames are 4-byte big-endian length
-// prefixes followed by JSON — simple, debuggable, and offline-friendly.
+// the management network (Fig 3).
 //
-// The Server wraps any proto.Controller and proto.UploadSink; the Client
-// implements both interfaces, so an Agent can be pointed at a remote
-// Controller/Analyzer without code changes.
+// There is one framing: a 5-byte header — a kind byte and a big-endian
+// payload length — followed by the payload. Every request frame is
+// answered by exactly one reply frame on the same connection:
+//
+//	kind        payload                                  reply
+//	1 control   JSON request (register, pinglists,       control frame, JSON
+//	            lookup, fed.*)                           response
+//	2 upload    proto.RecordBatch's flat binary layout   ack frame
+//	3 ack       one status byte (0 ok, 1 no sink,        — (reply only)
+//	            2 undecodable batch)
+//
+// Control traffic is rare and stays JSON — debuggable and offline-
+// friendly. Uploads are the hot op: each side builds and reads frames in
+// per-connection buffers it reuses, and writes a frame with one Write.
+//
+// An upload is a synchronous round trip: Upload returns once the
+// server's sink call has returned and the ack has been read. Err, the
+// ingest pipeline's Block backpressure and every "all uploads are in"
+// barrier rely on that.
+//
+// The Server decodes each upload into a fresh RecordBatch that nothing
+// else references and hands it to the sink's UploadRecords when the sink
+// is a proto.RecordSink (the ingest pipeline is, and keeps the batch),
+// else to Upload in boxed form. The Client implements proto.Controller,
+// proto.UploadSink and proto.RecordSink, so an Agent can be pointed at a
+// remote Controller/Analyzer without code changes.
 package wire
 
 import (
@@ -28,20 +50,41 @@ import (
 // large host fits well under this).
 const MaxFrame = 16 << 20
 
-// Op codes.
+// Frame kinds.
+const (
+	kindControl byte = 1
+	kindUpload  byte = 2
+	kindAck     byte = 3
+)
+
+// Upload ack statuses.
+const (
+	ackOK byte = iota
+	ackNoSink
+	ackBadBatch
+)
+
+const (
+	headerLen = 5
+	// readChunk is how much of a frame's claimed length is believed before
+	// any of it has arrived; past it each read asks for as much again as
+	// has arrived, so the read buffer never exceeds twice the bytes
+	// received (or readChunk more than them, early on).
+	readChunk = 64 << 10
+)
+
+// Control op codes.
 const (
 	opRegister  = "register"
 	opPinglists = "pinglists"
 	opLookup    = "lookup"
-	opUpload    = "upload"
 )
 
 type request struct {
-	Op       string             `json:"op"`
-	Register []proto.RNICInfo   `json:"register,omitempty"`
-	Host     topo.HostID        `json:"host,omitempty"`
-	IP       netip.Addr         `json:"ip,omitzero"`
-	Batch    *proto.UploadBatch `json:"batch,omitempty"`
+	Op       string           `json:"op"`
+	Register []proto.RNICInfo `json:"register,omitempty"`
+	Host     topo.HostID      `json:"host,omitempty"`
+	IP       netip.Addr       `json:"ip,omitzero"`
 
 	// Federation ops (fed.* — see fed.go).
 	Hello     *proto.Hello     `json:"hello,omitempty"`
@@ -63,48 +106,87 @@ type response struct {
 	Sync       *proto.IncidentSync `json:"sync,omitempty"`
 }
 
-// writeFrame writes one length-prefixed JSON frame.
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+// framer holds one connection's reusable frame buffers. A frame is
+// staged in wbuf (stage, append the payload, seal) and written whole; a
+// read frame's payload aliases rbuf until the next read.
+type framer struct {
+	rbuf, wbuf []byte
 }
 
-// readFrame reads one frame into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
+// stage starts a frame of the given kind over the write buffer and
+// returns it for the caller to append the payload to.
+func (f *framer) stage(kind byte) []byte {
+	return append(f.wbuf[:0], kind, 0, 0, 0, 0)
+}
+
+// seal fills in the staged frame's length and keeps it for flush.
+func (f *framer) seal(frame []byte) error {
+	n := len(frame) - headerLen
 	if n > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
+	binary.BigEndian.PutUint32(frame[1:], uint32(n))
+	f.wbuf = frame
+	return nil
+}
+
+// stageJSON stages a control frame carrying v.
+func (f *framer) stageJSON(v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("wire: marshal: %w", err)
 	}
-	return json.Unmarshal(body, v)
+	return append(f.stage(kindControl), body...), nil
+}
+
+// flush writes the sealed frame with one Write.
+func (f *framer) flush(w io.Writer) error {
+	_, err := w.Write(f.wbuf)
+	return err
+}
+
+// read reads one frame. The header's length is a claim: the buffer
+// grows as the payload arrives, never ahead of it.
+func (f *framer) read(r io.Reader) (kind byte, body []byte, err error) {
+	if cap(f.rbuf) < headerLen {
+		f.rbuf = make([]byte, headerLen)
+	}
+	hdr := f.rbuf[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, err
+	}
+	kind = hdr[0]
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	if n > MaxFrame {
+		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	body = hdr[:0]
+	for len(body) < n {
+		step := min(n-len(body), max(len(body), readChunk))
+		if cap(body) < len(body)+step {
+			body = append(make([]byte, 0, len(body)+step), body...)
+		}
+		got, err := io.ReadFull(r, body[len(body):len(body)+step])
+		body = body[:len(body)+got]
+		f.rbuf = body
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+	}
+	return kind, body, nil
 }
 
 // Server exposes a Controller and an UploadSink over TCP. Either may be
 // nil, in which case the corresponding ops fail.
 type Server struct {
-	ln   net.Listener
-	ctrl proto.Controller
-	sink proto.UploadSink
-	fed  FedBackend
+	ln      net.Listener
+	ctrl    proto.Controller
+	sink    proto.UploadSink
+	recSink proto.RecordSink // sink's flat-path surface, if it has one
+	fed     FedBackend
 
 	mu     sync.Mutex // serializes backend access
 	connWG sync.WaitGroup
@@ -122,6 +204,7 @@ func Serve(ln net.Listener, ctrl proto.Controller, sink proto.UploadSink) *Serve
 		closed: make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
 	}
+	s.recSink, _ = sink.(proto.RecordSink)
 	s.connWG.Add(1)
 	go s.acceptLoop()
 	return s
@@ -189,6 +272,15 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		s.connMu.Lock()
+		select {
+		case <-s.closed:
+			// Accepted as Close swept the live connections: it will not
+			// be swept again, so it must not start a handler.
+			s.connMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.connMu.Unlock()
 		s.connWG.Add(1)
@@ -206,16 +298,51 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handle(conn net.Conn) {
+	var f framer
 	for {
-		var req request
-		if err := readFrame(conn, &req); err != nil {
+		kind, body, err := f.read(conn)
+		if err != nil {
 			return // EOF or garbage: drop the connection
 		}
-		resp := s.dispatch(&req)
-		if err := writeFrame(conn, resp); err != nil {
+		var reply []byte
+		switch kind {
+		case kindControl:
+			var req request
+			if err := json.Unmarshal(body, &req); err != nil {
+				return
+			}
+			if reply, err = f.stageJSON(s.dispatch(&req)); err != nil {
+				return
+			}
+		case kindUpload:
+			reply = append(f.stage(kindAck), s.upload(body))
+		default:
+			return
+		}
+		if f.seal(reply) != nil || f.flush(conn) != nil {
 			return
 		}
 	}
+}
+
+// upload decodes one record frame and hands the batch to the sink. body
+// is the connection's read buffer; the decoded batch does not alias it.
+func (s *Server) upload(body []byte) (status byte) {
+	if s.sink == nil {
+		return ackNoSink
+	}
+	rb := new(proto.RecordBatch)
+	if err := rb.UnmarshalBinary(body); err != nil {
+		return ackBadBatch
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.recSink != nil {
+		s.recSink.UploadRecords(rb)
+	} else {
+		s.sink.Upload(rb.ToUploadBatch())
+	}
+	return ackOK
 }
 
 func (s *Server) dispatch(req *request) response {
@@ -239,15 +366,6 @@ func (s *Server) dispatch(req *request) response {
 		}
 		info, found := s.ctrl.Lookup(req.IP)
 		return response{OK: true, Info: &info, Found: found}
-	case opUpload:
-		if s.sink == nil {
-			return response{Error: "no sink"}
-		}
-		if req.Batch == nil {
-			return response{Error: "missing batch"}
-		}
-		s.sink.Upload(*req.Batch)
-		return response{OK: true}
 	case opFedHello, opFedHeartbeat, opFedVotes, opFedSync:
 		return s.dispatchFed(req)
 	default:
@@ -264,9 +382,10 @@ const (
 	BackoffMax  = 5 * time.Second
 )
 
-// Client speaks the wire protocol and implements proto.Controller and
-// proto.UploadSink. It is safe for concurrent use; requests are
-// serialized on one connection. A broken connection is redialled once
+// Client speaks the wire protocol and implements proto.Controller,
+// proto.UploadSink and proto.RecordSink. It is safe for concurrent use;
+// requests are serialized on one connection. A broken connection is
+// redialled once
 // per request (Controllers restart; Agents keep running — §4.1's
 // re-registration story depends on it); while the server stays
 // unreachable, redial attempts back off exponentially and requests
@@ -278,6 +397,8 @@ type Client struct {
 	conn   net.Conn
 	closed bool
 	err    error
+	f      framer             // the connection's frame buffers
+	enc    proto.BatchEncoder // Upload's scratch
 
 	// Dial-failure backoff state. Only failed dials back off: a round
 	// trip that redials successfully (the server restarted) pays nothing.
@@ -365,67 +486,101 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Err returns the last unrecovered transport error encountered by the
-// fire-and-forget interface methods (Register/Upload), or nil.
+// Err returns the outcome of the most recent request: a transport
+// failure that a redial did not cure, a refusal by the server (an upload
+// to a server without a sink, an undecodable batch, a control op it has
+// no backend for), or nil. It is how the interface methods that return
+// nothing (Register, Upload, UploadRecords) report.
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
 }
 
-func (c *Client) roundTrip(req *request) (response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// exchange seals the staged frame, sends it and returns the reply's
+// payload (valid until the next exchange), which must be of kind want.
+// A transport failure costs one redial (subject to backoff) and one
+// resend of the same frame. Either way the outcome lands in c.err.
+// Callers hold mu.
+func (c *Client) exchange(frame []byte, want byte) ([]byte, error) {
 	if c.closed {
-		return response{}, c.err
+		return nil, c.err
 	}
-	resp, err := c.attempt(req)
-	if err == nil {
-		c.err = nil
-		return resp, nil
+	if err := c.f.seal(frame); err != nil {
+		c.err = err
+		return nil, err
 	}
-	if !resp.OK && resp.Error != "" {
-		// Application-level error: the transport is fine.
-		return resp, err
+	body, err := c.attempt(want)
+	if err != nil {
+		c.drop()
+		if derr := c.redial(); derr != nil {
+			return nil, derr
+		}
+		if body, err = c.attempt(want); err != nil {
+			c.drop()
+		}
 	}
-	// Transport failure: redial (subject to backoff) and retry once.
+	c.err = err
+	return body, err
+}
+
+// attempt runs one request on the current connection; callers hold mu.
+func (c *Client) attempt(want byte) ([]byte, error) {
+	if c.conn == nil {
+		return nil, errors.New("wire: no connection")
+	}
+	if err := c.f.flush(c.conn); err != nil {
+		return nil, err
+	}
+	kind, body, err := c.f.read(c.conn)
+	if err != nil {
+		return nil, err
+	}
+	if kind != want {
+		return nil, fmt.Errorf("wire: reply frame of kind %d, want %d", kind, want)
+	}
+	return body, nil
+}
+
+// drop closes a connection that failed or lost frame sync; the next
+// attempt redials. Callers hold mu.
+func (c *Client) drop() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 		c.conn = nil
 	}
-	if derr := c.redial(); derr != nil {
-		return response{}, derr
-	}
-	resp, err = c.attempt(req)
+}
+
+// roundTrip runs one control request. A refusal by the server is an
+// error too, and leaves the connection usable.
+func (c *Client) roundTrip(req *request) (response, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	frame, err := c.f.stageJSON(req)
 	if err != nil {
 		c.err = err
 		return response{}, err
 	}
-	c.err = nil
-	return resp, nil
-}
-
-// attempt runs one request on the current connection; callers hold mu.
-func (c *Client) attempt(req *request) (response, error) {
-	if c.conn == nil {
-		return response{}, errors.New("wire: no connection")
-	}
-	if err := writeFrame(c.conn, req); err != nil {
+	body, err := c.exchange(frame, kindControl)
+	if err != nil {
 		return response{}, err
 	}
 	var resp response
-	if err := readFrame(c.conn, &resp); err != nil {
+	if err := json.Unmarshal(body, &resp); err != nil {
+		c.drop()
+		c.err = err
 		return response{}, err
 	}
 	if !resp.OK {
-		return resp, errors.New("wire: " + resp.Error)
+		c.err = errors.New("wire: " + resp.Error)
+		return resp, c.err
 	}
 	return resp, nil
 }
 
 // Register implements proto.Controller.
 func (c *Client) Register(infos []proto.RNICInfo) {
-	_, _ = c.roundTrip(&request{Op: opRegister, Register: infos})
+	_, _ = c.roundTrip(&request{Op: opRegister, Register: infos}) // reported by Err
 }
 
 // Pinglists implements proto.Controller.
@@ -446,12 +601,44 @@ func (c *Client) Lookup(ip netip.Addr) (proto.RNICInfo, bool) {
 	return *resp.Info, true
 }
 
-// Upload implements proto.UploadSink.
+// Upload implements proto.UploadSink: the boxed batch is encoded
+// straight into a record frame. It returns after the server's sink has
+// taken the batch; Err reports a failure or refusal.
 func (c *Client) Upload(batch proto.UploadBatch) {
-	_, _ = c.roundTrip(&request{Op: opUpload, Batch: &batch})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.upload(c.enc.AppendBinary(c.f.stage(kindUpload), &batch))
+}
+
+// UploadRecords implements proto.RecordSink: Upload for a batch that is
+// already flat. b is only read, and not kept.
+func (c *Client) UploadRecords(b *proto.RecordBatch) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	frame, _ := b.AppendBinary(c.f.stage(kindUpload)) // never fails
+	c.upload(frame)
+}
+
+// upload ships a staged record frame and folds the ack into c.err.
+// Callers hold mu.
+func (c *Client) upload(frame []byte) {
+	ack, err := c.exchange(frame, kindAck)
+	if err != nil {
+		return
+	}
+	switch {
+	case len(ack) != 1:
+		c.drop()
+		c.err = fmt.Errorf("wire: upload ack of %d bytes", len(ack))
+	case ack[0] == ackNoSink:
+		c.err = errors.New("wire: upload refused: no sink")
+	case ack[0] != ackOK:
+		c.err = errors.New("wire: upload refused: undecodable batch")
+	}
 }
 
 var (
 	_ proto.Controller = (*Client)(nil)
 	_ proto.UploadSink = (*Client)(nil)
+	_ proto.RecordSink = (*Client)(nil)
 )

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rpingmesh/internal/controller"
 	"rpingmesh/internal/proto"
@@ -197,11 +200,58 @@ func TestServerWithoutBackends(t *testing.T) {
 	if _, ok := cli.Lookup(netip.AddrFrom4([4]byte{1, 2, 3, 4})); ok {
 		t.Fatal("lookup without controller should fail")
 	}
-	cli.Upload(proto.UploadBatch{})
-	// Fire-and-forget errors do not poison the connection (server
-	// answered with an error response, transport is fine).
+	// The server answered, so the transport is fine, but the refusal is
+	// what Err reports until a request succeeds.
+	if err := cli.Err(); err == nil || !strings.Contains(err.Error(), "no controller") {
+		t.Fatalf("Err after a refused op = %v", err)
+	}
+}
+
+// TestRefusedUploadSetsErr: an upload the server did not take must not
+// read as success. A sink-less server and an undecodable batch are both
+// answered with a nack that lands in Err; the framing stayed intact, so
+// neither costs the connection, and the next good request clears Err.
+func TestRefusedUploadSetsErr(t *testing.T) {
+	ctrl, tp := testBackend(t)
+	srv, cli := startServer(t, ctrl, nil)
+	cli.Upload(sampleUpload())
+	if err := cli.Err(); err == nil || !strings.Contains(err.Error(), "no sink") {
+		t.Fatalf("upload to a sink-less server: Err = %v", err)
+	}
+	cli.UploadRecords(proto.RecordsFromBatch(sampleUpload()))
+	if err := cli.Err(); err == nil || !strings.Contains(err.Error(), "no sink") {
+		t.Fatalf("record upload to a sink-less server: Err = %v", err)
+	}
+	cli.Register(allInfos(tp))
 	if err := cli.Err(); err != nil {
-		t.Fatalf("transport error: %v", err)
+		t.Fatalf("Err after a good request: %v", err)
+	}
+
+	sink := &memSink{}
+	srv2, cli2 := startServer(t, ctrl, sink)
+	good := uploadFrame(t, sampleUpload())
+	for _, bad := range [][]byte{
+		good[:len(good)-1],           // truncated columns
+		append(bytes.Clone(good), 0), // trailing byte
+		{kindUpload, 0, 0, 0, 0},     // empty payload
+		func() []byte { b := bytes.Clone(good); b[headerLen] = 99; return b }(), // unknown version
+	} {
+		cli2.mu.Lock()
+		cli2.upload(append(cli2.f.stage(kindUpload), bad[headerLen:]...))
+		cli2.mu.Unlock()
+		if err := cli2.Err(); err == nil || !strings.Contains(err.Error(), "undecodable") {
+			t.Fatalf("corrupted frame: Err = %v", err)
+		}
+	}
+	if n := sink.count(); n != 0 {
+		t.Fatalf("sink got %d batches from corrupted frames", n)
+	}
+	cli2.Upload(sampleUpload())
+	if err := cli2.Err(); err != nil || sink.count() != 1 {
+		t.Fatalf("good upload after nacks: Err = %v, sink has %d", err, sink.count())
+	}
+	if srv.ConnCount() != 1 || srv2.ConnCount() != 1 {
+		t.Fatalf("a nack cost a connection: %d, %d live", srv.ConnCount(), srv2.ConnCount())
 	}
 }
 
@@ -214,7 +264,7 @@ func TestGarbageFrameDropsConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	// A frame header advertising more than MaxFrame must be rejected.
-	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+	if _, err := conn.Write([]byte{kindControl, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1)
@@ -223,14 +273,35 @@ func TestGarbageFrameDropsConnection(t *testing.T) {
 	}
 }
 
+// A frame of a kind the server does not take (an ack, an unknown byte)
+// drops the connection too.
+func TestUnknownFrameKindDropsConnection(t *testing.T) {
+	ctrl, _ := testBackend(t)
+	srv, _ := startServer(t, ctrl, &memSink{})
+	for _, kind := range []byte{0, kindAck, 0x7B} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte{kind, 0, 0, 0, 1, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("server answered a frame of kind %d", kind)
+		}
+		conn.Close()
+	}
+}
+
 func TestFrameRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
 	in := request{Op: opPinglists, Host: "host-1"}
-	if err := writeFrame(&buf, &in); err != nil {
-		t.Fatal(err)
+	var f framer
+	kind, body, err := f.read(bytes.NewReader(controlFrame(t, &in)))
+	if err != nil || kind != kindControl {
+		t.Fatalf("read: kind %d, %v", kind, err)
 	}
 	var out request
-	if err := readFrame(&buf, &out); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Op != in.Op || out.Host != in.Host {
@@ -248,6 +319,33 @@ func TestServerDoubleClose(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal("double close errored")
+	}
+}
+
+// Close returns even when a connection is accepted while it runs: a
+// client that dialled just before Close and then sits idle must not
+// leave a handler behind for Close to wait on.
+func TestCloseRacesAccept(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		srv, err := Listen("127.0.0.1:0", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: Close waits on a handler nobody will wake", i)
+		}
+		cli.Close()
 	}
 }
 
