@@ -19,20 +19,22 @@ test:
 # pipeline, tsdb, wire, the alert/API console tier, the tenant
 # scheduler, and the federated control plane) get a dedicated race pass
 # with repetition; everything else runs once. The streaming hub, the
-# tsdb follower, and the reader-swarm chaos scenario get named extra
-# repetitions: they are the new concurrency hot spots of the serving
-# tier.
+# tsdb follower, console reads across a follower CatchUp, and the
+# reader-swarm chaos scenario get named extra repetitions: they are the
+# concurrency hot spots of the serving tier.
 race:
 	$(GO) test -race -count=2 ./internal/proto ./internal/analyzer ./internal/pipeline ./internal/tsdb ./internal/wire ./internal/alert ./internal/api ./internal/controller
 	$(GO) test -race -count=2 ./internal/fed ./internal/qos ./internal/localizer ./internal/sim
-	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark' ./internal/api
+	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark|TestConsoleReadsDuringCatchUp' ./internal/api
 	$(GO) test -race -count=4 -run 'TestFollower' ./internal/tsdb
 	$(GO) test -race -count=2 -run 'TestShardedScenario|TestAPIReadersScenarioGreen' ./internal/chaos
 	$(GO) test -race -timeout 30m ./...
 
 # Boot the live daemon with the ops console and smoke-test it over real
 # HTTP: /healthz and /api/incidents must both answer 200 (curl -f fails
-# the target otherwise). Both listeners bind :0 — the actual addresses
+# the target otherwise), and /api/series must come with a Content-Length
+# and not chunked — every response is built whole before it is sent.
+# Both listeners bind :0 — the actual addresses
 # are parsed from the daemon's wire-addr=/http-addr= stdout lines, so
 # parallel CI jobs never collide on a hardcoded port.
 serve-smoke:
@@ -55,6 +57,9 @@ serve-smoke:
 	[ $$ok -eq 1 ] || { echo "serve-smoke: /healthz never answered on $$addr"; cat bin/smoke.log; exit 1; }; \
 	echo "GET /healthz"; curl -fsS http://$$addr/healthz; echo; \
 	echo "GET /api/incidents"; curl -fsS http://$$addr/api/incidents; echo; \
+	echo "GET /api/series"; hdr=$$(curl -fsS -D- http://$$addr/api/series); echo "$$hdr"; \
+	echo "$$hdr" | grep -qi '^Content-Length:' || { echo "serve-smoke: /api/series has no Content-Length"; exit 1; }; \
+	if echo "$$hdr" | grep -qi '^Transfer-Encoding:.*chunked'; then echo "serve-smoke: /api/series is chunked"; exit 1; fi; \
 	echo "serve-smoke: ok ($$addr)"
 
 bench:
@@ -92,9 +97,10 @@ bakeoff:
 # Key benchmarks, each pinned by the regression gate: analyzer window
 # analysis (serial + sharded), incident folding, pipeline ingest, the
 # pod-sharded simulation engine (serial vs 2/4 shards), the streaming
-# hub fan-out, the tsdb follower catch-up, and one upload round trip
-# over loopback (boxed and flat).
-BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup|BenchmarkWireUpload)$$
+# hub fan-out, the tsdb follower catch-up, one upload round trip over
+# loopback (boxed and flat), and one console /range read (256 and 2048
+# points: the same allocs/op at both is the gated property).
+BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup|BenchmarkWireUpload|BenchmarkConsoleRange)$$
 BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/localizer ./internal/api ./internal/tsdb ./internal/wire
 
 bench-json:
@@ -153,6 +159,8 @@ determinism:
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestRecordsEncodeDeterministic|TestBatchEncoderInternsInOrder|TestSketchDeterministic' ./internal/proto ./internal/tsdb
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'FuzzReadFrame|FuzzUploadFrame|TestUploadDeliversWhatWasSent' ./internal/wire
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'FuzzReadFrame|FuzzUploadFrame|TestUploadDeliversWhatWasSent' ./internal/wire
+	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery' ./internal/api
+	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery' ./internal/api
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon' ./internal/sim

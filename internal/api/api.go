@@ -16,6 +16,10 @@
 //   - stream.go    — SSE/long-poll push of window and incident updates,
 //     fanned out by the bounded Hub (hub.go)
 //
+// Every JSON response leaves through one builder (respond.go): compact,
+// built whole in a pooled buffer before the status line, Content-Length
+// set, one Write.
+//
 // Every handler is read-only except /api/diagnose/{host}, which invokes
 // the watchdog's §7.5 decision tree on demand. The server owns nothing,
 // so it can front a deterministic simulation and the live TCP daemon
@@ -31,7 +35,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -62,10 +65,11 @@ type WindowSource interface {
 // quantile read from a replica that never contends with ingest.
 type SeriesStore interface {
 	Series() []string
-	Latest(name string) (tsdb.Point, bool)
-	Range(name string, from, to sim.Time) []tsdb.Point
-	Quantile(name string, from, to sim.Time, q float64) (float64, bool)
-	// QuantileWithError additionally reports the answer's worst-case
+	// Scan visits the points of [from, to] in time order under the
+	// store's read lock — the range handler encodes them as they come —
+	// and reports whether the series exists.
+	Scan(name string, from, to sim.Time, fn func(tsdb.Point)) (found bool)
+	// QuantileWithError reports the q-quantile and its worst-case
 	// rank-error bound: 0 for exact series, the sketch tier's tracked
 	// bound otherwise.
 	QuantileWithError(name string, from, to sim.Time, q float64) (float64, float64, bool)
@@ -160,10 +164,8 @@ type Server struct {
 	ln      net.Listener
 }
 
-// surface is one mounted sub-surface of the console. route registers an
-// instrumented handler on the point-query (timeout-bounded) mux;
-// surfaces that must bypass the timeout (streaming) are mounted
-// separately in New.
+// surface is one mounted sub-surface of the console; mount hands its
+// routes to the registrar Server.mount picked for it.
 type surface interface {
 	mount(route func(pattern, name string, h http.HandlerFunc))
 }
@@ -183,31 +185,22 @@ func New(b Backend, cfg Config) *Server {
 		incidents: NewHub(cfg.Stream),
 	}
 
-	mux := http.NewServeMux()
-	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(name, s.admit(h)))
-	}
-	exempt := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(name, h))
-	}
-	for _, sf := range []surface{
-		&opsSurface{s: s, exempt: exempt},
-		&incidentSurface{src: b.Alerts},
-		&windowSurface{src: b.Windows},
-		&seriesSurface{db: b.TSDB},
-	} {
-		sf.mount(route)
-	}
-	timed := http.TimeoutHandler(mux, cfg.RequestTimeout,
-		`{"error":"request timed out"}`)
-
 	// Streaming endpoints live outside the TimeoutHandler: it buffers
 	// responses (no Flusher) and would kill every stream at the request
 	// timeout. They get the same instrumentation and admission check.
-	streamMux := http.NewServeMux()
-	(&streamSurface{s: s}).mount(func(pattern, name string, h http.HandlerFunc) {
-		streamMux.Handle(pattern, s.instrument(name, s.admit(h)))
-	})
+	mux, streamMux := http.NewServeMux(), http.NewServeMux()
+	s.mount(
+		func(pattern, name string, h http.HandlerFunc) {
+			mux.Handle(pattern, s.instrument(name, s.admit(h)))
+		},
+		func(pattern, name string, h http.HandlerFunc) {
+			mux.Handle(pattern, s.instrument(name, h))
+		},
+		func(pattern, name string, h http.HandlerFunc) {
+			streamMux.Handle(pattern, s.instrument(name, s.admit(h)))
+		})
+	timed := http.TimeoutHandler(mux, cfg.RequestTimeout,
+		`{"error":"request timed out"}`)
 
 	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/api/stream/") {
@@ -217,6 +210,21 @@ func New(b Backend, cfg Config) *Server {
 		timed.ServeHTTP(w, r)
 	})
 	return s
+}
+
+// mount registers every route of the console: point queries through
+// route, the operational endpoints that are never shed through exempt,
+// the push endpoints through stream.
+func (s *Server) mount(route, exempt, stream func(pattern, name string, h http.HandlerFunc)) {
+	for _, sf := range []surface{
+		&opsSurface{s: s, exempt: exempt},
+		&incidentSurface{src: s.b.Alerts},
+		&windowSurface{src: s.b.Windows},
+		&seriesSurface{db: s.b.TSDB},
+	} {
+		sf.mount(route)
+	}
+	(&streamSurface{s: s}).mount(stream)
 }
 
 // Handler returns the fully wired (instrumented, timeout-bounded)
@@ -369,16 +377,4 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 		}
 		s.mu.Unlock()
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

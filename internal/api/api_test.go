@@ -109,9 +109,7 @@ func testBackend(t testing.TB) (Backend, *fakeWindows, *alert.Engine, *tsdb.DB) 
 // get issues a request against the handler and decodes the JSON body.
 func get(t *testing.T, h http.Handler, path string) (int, map[string]any) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, path, nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	rec := serve(h, path)
 	var body map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("GET %s: bad JSON %q: %v", path, rec.Body.String(), err)
@@ -229,6 +227,13 @@ func TestSeriesEndpoints(t *testing.T) {
 	code, body = get(t, h, "/api/series/cluster.rtt.p50/quantile?q=0.5")
 	if code != http.StatusOK || body["value"].(float64) < 100 {
 		t.Fatalf("quantile = %d %v", code, body)
+	}
+	// A known series with nothing in [from, to] is an empty array, not
+	// null; only an unknown series is a 404.
+	code, body = get(t, h,
+		fmt.Sprintf("/api/series/cluster.rtt.p50/range?from=%d", 1000*sim.Second))
+	if pts, ok := body["points"].([]any); code != http.StatusOK || body["count"] != float64(0) || !ok || len(pts) != 0 {
+		t.Fatalf("empty range = %d %v, want 200 with count 0 and points []", code, body)
 	}
 	if code, _ = get(t, h, "/api/series/nope/range"); code != http.StatusNotFound {
 		t.Fatalf("unknown series gave %d", code)

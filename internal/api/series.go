@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"rpingmesh/internal/sim"
+	"rpingmesh/internal/tsdb"
 )
 
 // seriesSurface serves tsdb queries: /api/series, /api/series/{name}/
@@ -61,17 +62,40 @@ func (ss *seriesSurface) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	points := ss.db.Range(name, from, to)
-	if points == nil {
-		if _, ok := ss.db.Latest(name); !ok {
-			writeErr(w, http.StatusNotFound, "no series %q", name)
-			return
+	// {"count":N,"points":[…],"series":"…"} — the key order encoding/json
+	// gives the map this reply once was. count precedes the points it
+	// counts, so the points go in first, behind headroom for the longest
+	// possible prefix, and the prefix is then laid down right up against
+	// them.
+	b := newBody()
+	defer b.release()
+	var head [rangeHeadroom]byte
+	b.b = append(b.b, head[:]...)
+	n := 0
+	found := ss.db.Scan(name, from, to, func(p tsdb.Point) {
+		if n > 0 {
+			b.b = append(b.b, ',')
 		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"series": name, "count": len(points), "points": points,
+		b.b = appendPoint(b.b, p)
+		n++
 	})
+	if !found {
+		writeErr(w, http.StatusNotFound, "no series %q", name)
+		return
+	}
+	b.b = append(b.b, `],"series":`...)
+	_ = b.marshal(name) // a string always encodes
+	b.b = append(b.b, '}')
+	pre := append(head[:0], `{"count":`...)
+	pre = strconv.AppendInt(pre, int64(n), 10)
+	pre = append(pre, `,"points":[`...)
+	start := rangeHeadroom - len(pre)
+	copy(b.b[start:], pre)
+	send(w, http.StatusOK, b.b[start:])
 }
+
+// rangeHeadroom fits {"count":<any int>,"points":[ .
+const rangeHeadroom = len(`{"count":`) + 20 + len(`,"points":[`)
 
 func (ss *seriesSurface) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	if ss.db == nil {
@@ -87,7 +111,7 @@ func (ss *seriesSurface) handleQuantile(w http.ResponseWriter, r *http.Request) 
 	q := 0.5
 	if v := r.URL.Query().Get("q"); v != "" {
 		q, err = strconv.ParseFloat(v, 64)
-		if err != nil || q < 0 || q > 1 {
+		if err != nil || !(q >= 0 && q <= 1) { // written so that NaN is refused too
 			writeErr(w, http.StatusBadRequest, "bad quantile %q (want 0..1)", v)
 			return
 		}

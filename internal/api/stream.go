@@ -151,10 +151,8 @@ func (ss *streamSurface) longPoll(hub *Hub, w http.ResponseWriter, r *http.Reque
 			writeErr(w, http.StatusBadRequest, "bad wait_ms %q", v)
 			return
 		}
-		wait = time.Duration(ms) * time.Millisecond
-	}
-	if wait > time.Minute {
-		wait = time.Minute
+		// Capped before the multiplication: a huge wait_ms must not wrap.
+		wait = time.Duration(min(ms, 60_000)) * time.Millisecond
 	}
 
 	evs, oldest := hub.ReplaySince(since)

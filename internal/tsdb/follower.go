@@ -11,7 +11,8 @@
 //
 // The serving tier points every API range/quantile read at a Follower,
 // so heavy readers contend on the replica's lock, never the primary's
-// ingest path; Lag() feeds the API's admission control.
+// ingest path; Lag() feeds the API's admission control and reads the
+// primary's journal seq without its lock.
 package tsdb
 
 import (
@@ -49,13 +50,19 @@ func (db *DB) journal(op journalOp, name string, t sim.Time, v float64) {
 	db.jr.push(journalEntry{op: op, name: name, t: t, v: v})
 }
 
-// JournalSeq reports how many mutations have ever been journaled; entry
-// i (1-based) is the i-th mutation since Open.
-func (db *DB) JournalSeq() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.jseq
+// unlock releases the write lock taken by a journaling mutator, first
+// publishing jseq for JournalSeq's lock-free read.
+func (db *DB) unlock() {
+	db.pubSeq.Store(db.jseq)
+	db.mu.Unlock()
 }
+
+// JournalSeq reports how many mutations have ever been journaled; entry
+// i (1-based) is the i-th mutation since Open. It takes no lock: the
+// answer is the count as of the last completed write, which is all a
+// staleness signal needs, and a reader asking for it must not wait out
+// an ingest batch.
+func (db *DB) JournalSeq() uint64 { return db.pubSeq.Load() }
 
 // DeltaSince returns a copy of the journal entries after seq (exclusive)
 // and the seq of the last entry returned. ok is false when the journal
@@ -128,7 +135,7 @@ type FollowerStats struct {
 }
 
 // Follower is a read replica of a primary DB. It satisfies the same
-// query interface as *DB (Series/Latest/Range/Quantile/
+// query interface as *DB (Series/Latest/Scan/Range/Quantile/
 // QuantileWithError/Stats/CountEstimate), answering everything from its
 // private replica; CatchUp pulls the primary's journal delta (or a full
 // snapshot after falling off the retained tail) and replays it through
@@ -227,6 +234,12 @@ func (f *Follower) Series() []string { return f.store().Series() }
 
 // Latest returns the replica's most recent point of a series.
 func (f *Follower) Latest(name string) (Point, bool) { return f.store().Latest(name) }
+
+// Scan visits the replica's points under the replica's read lock; see
+// DB.Scan.
+func (f *Follower) Scan(name string, from, to sim.Time, fn func(Point)) (found bool) {
+	return f.store().Scan(name, from, to, fn)
+}
 
 // Range scans the replica; see DB.Range.
 func (f *Follower) Range(name string, from, to sim.Time) []Point {

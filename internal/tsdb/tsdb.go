@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"rpingmesh/internal/metrics"
 	"rpingmesh/internal/proto"
@@ -224,6 +225,10 @@ type DB struct {
 	// Append journal for Followers (nil buf when JournalCapacity == 0).
 	jr   ring[journalEntry]
 	jseq uint64
+	// pubSeq is jseq as of the last write-lock release (unlock), so
+	// JournalSeq — and through it Follower.Lag, which API admission runs
+	// on every request — never queues behind a writer.
+	pubSeq atomic.Uint64
 }
 
 // Open creates a store.
@@ -252,7 +257,7 @@ func align(t, step sim.Time) sim.Time {
 // an *DB can be handed straight to Analyzer.SetMetricSink.
 func (db *DB) Append(name string, t sim.Time, v float64) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	se, ok := db.s[name]
 	if !ok {
 		se = &series{
@@ -314,7 +319,7 @@ func (db *DB) sketchLocked(name string) *sketchSeries {
 // the 13 analyzer series stay on the exact Append tier.
 func (db *DB) AppendSketch(name string, t sim.Time, v float64) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	db.sketchLocked(name).add(&db.cfg, t, v)
 	db.journal(opSketch, name, t, v)
 }
@@ -350,7 +355,7 @@ func (db *DB) IngestRecords(b *proto.RecordBatch) {
 		return
 	}
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	db.ingested += uint64(n)
 	hostName := "ingest.rtt." + string(b.Host)
 	host := db.sketchLocked(hostName)
@@ -516,34 +521,40 @@ func (db *DB) scanLocked(se *series, from, to sim.Time, onRaw func(Point), onBuc
 	}
 }
 
-// Range scans [from, to] and returns one point per retained observation.
-// Spans older than the raw horizon degrade into downsampled points — one
-// per bucket, stamped at the bucket start and valued at the bucket mean.
-func (db *DB) Range(name string, from, to sim.Time) []Point {
+// Scan visits [from, to] in time order, one point per retained
+// observation: fn runs under the store's read lock, straight off the
+// rings, so it must not call back into the store. Spans older than the
+// raw horizon degrade into downsampled points — one per bucket, stamped
+// at the bucket start and valued at the bucket mean. found reports
+// whether the series exists at all, decided under the same lock
+// acquisition as the walk, so "unknown series" and "nothing in range"
+// cannot be confused across a concurrent append or replica swap.
+func (db *DB) Scan(name string, from, to sim.Time, fn func(Point)) (found bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	se, ok := db.s[name]
-	if !ok {
-		if ss, ok := db.sk[name]; ok {
-			return ss.rangePoints(from, to)
-		}
-		return nil
+	if se, ok := db.s[name]; ok {
+		db.scanLocked(se, from, to, fn,
+			func(b Bucket) { fn(Point{T: b.Start, V: b.Mean()}) })
+		return true
 	}
+	if ss, ok := db.sk[name]; ok && ss.appended > 0 {
+		ss.scan(from, to, fn)
+		return true
+	}
+	return false
+}
+
+// Range is Scan collected into a slice (nil when nothing was visited).
+func (db *DB) Range(name string, from, to sim.Time) []Point {
 	var out []Point
-	db.scanLocked(se, from, to,
-		func(p Point) { out = append(out, p) },
-		func(b Bucket) { out = append(out, Point{T: b.Start, V: b.Mean()}) })
+	db.Scan(name, from, to, func(p Point) { out = append(out, p) })
 	return out
 }
 
-// rangePoints is the sketch tier's coarse Range view: one mean point per
-// sealed window bucket, closed by the exact last sample so the tail of a
+// scan is the sketch tier's coarse Scan view: one mean point per sealed
+// window bucket, closed by the exact last sample so the tail of a
 // full-horizon scan always agrees with Latest.
-func (ss *sketchSeries) rangePoints(from, to sim.Time) []Point {
-	if ss.appended == 0 {
-		return nil
-	}
-	var out []Point
+func (ss *sketchSeries) scan(from, to sim.Time, fn func(Point)) {
 	for i := 0; i < ss.win.n; i++ {
 		b := ss.win.at(i)
 		if b.Start < from || b.Start > to {
@@ -552,12 +563,11 @@ func (ss *sketchSeries) rangePoints(from, to sim.Time) []Point {
 		if b.Start > ss.last.T {
 			break // straggler sealing: never emit past the live tail
 		}
-		out = append(out, Point{T: b.Start, V: b.Mean()})
+		fn(Point{T: b.Start, V: b.Mean()})
 	}
 	if ss.last.T >= from && ss.last.T <= to {
-		out = append(out, ss.last)
+		fn(ss.last)
 	}
-	return out
 }
 
 // Quantile computes the q-quantile of a series over [from, to]. Raw
