@@ -21,10 +21,14 @@ test:
 # with repetition; everything else runs once. The streaming hub, the
 # tsdb follower, console reads across a follower CatchUp, and the
 # reader-swarm chaos scenario get named extra repetitions: they are the
-# concurrency hot spots of the serving tier.
+# concurrency hot spots of the serving tier. The simulated spine's
+# per-device packet pools and per-agent record pools must stay owned by
+# one engine goroutine each; the sharded golden at GOMAXPROCS=8 is the
+# run where pods recycle packets onto other pods' devices concurrently.
 race:
 	$(GO) test -race -count=2 ./internal/proto ./internal/analyzer ./internal/pipeline ./internal/tsdb ./internal/wire ./internal/alert ./internal/api ./internal/controller
-	$(GO) test -race -count=2 ./internal/fed ./internal/qos ./internal/localizer ./internal/sim
+	$(GO) test -race -count=2 ./internal/fed ./internal/qos ./internal/localizer ./internal/sim ./internal/rnic ./internal/agent
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestShardedGoldenEquivalence' .
 	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark|TestConsoleReadsDuringCatchUp' ./internal/api
 	$(GO) test -race -count=4 -run 'TestFollower' ./internal/tsdb
 	$(GO) test -race -count=2 -run 'TestShardedScenario|TestAPIReadersScenarioGreen' ./internal/chaos
@@ -163,8 +167,10 @@ determinism:
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery' ./internal/api
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon' ./internal/sim
-	GOMAXPROCS=8 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon' ./internal/sim
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon|TestHeapMatchesOracle' ./internal/sim
+	GOMAXPROCS=8 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon|TestHeapMatchesOracle' ./internal/sim
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestEventCountsPinned' .
+	GOMAXPROCS=8 $(GO) test -count=1 -run 'TestEventCountsPinned' .
 
 # --- static analysis ---------------------------------------------------
 

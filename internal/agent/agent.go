@@ -97,15 +97,15 @@ func (c *Config) setDefaults() {
 
 // Agent is the per-host R-Pingmesh service.
 type Agent struct {
-	eng    *sim.Engine
-	host   *rnic.Host
-	stack  *verbs.Stack
+	eng     *sim.Engine
+	host    *rnic.Host
+	stack   *verbs.Stack
 	ctrl    proto.Controller
 	sink    proto.UploadSink
 	recSink proto.RecordSink // sink's flat-path surface, if it has one
 	tracer  trace.PathTracer
-	cfg    Config
-	rng    *rand.Rand
+	cfg     Config
+	rng     *rand.Rand
 
 	rnics map[topo.DeviceID]*rnicState
 
@@ -114,16 +114,23 @@ type Agent struct {
 	inflight map[uint64]*inflightProbe
 	pending  map[uint64]*pendingResponse // responder state keyed by WRID
 
-	// probePool recycles inflightProbe records. At thousands of probes per
-	// second per host they are the Agent's hottest allocation; recycling
-	// keeps the per-shard heaps allocation-quiet in the parallel engine.
+	// probePool, respPool and wakePool recycle the per-probe records
+	// (prober state, responder state, the ⑥ wakeup), each with its event
+	// callback bound once, and payload is the scratch every probe and ACK
+	// payload is encoded into (PostSend copies it). Together they keep
+	// the steady-state probe path allocation-free.
 	probePool []*inflightProbe
+	respPool  []*pendingResponse
+	wakePool  []*ackWake
+	payload   [payloadSize]byte
 
 	// batch is the in-place columnar upload under construction. Routes
 	// are interned per (pinglist entry, traced-path epoch) via
 	// routeIntern, so steady-state probing appends pure column values.
 	batch       *proto.RecordBatch
 	routeIntern map[routeKey]internEntry
+	// lastBatchLen pre-sizes each new batch: the previous one's length.
+	lastBatchLen int
 
 	paths map[pathKey]*tracedPath
 
@@ -179,6 +186,9 @@ type pinglistState struct {
 }
 
 type inflightProbe struct {
+	a      *Agent
+	expire func() // inf.onTimeout, bound once per pooled record
+
 	seq  uint64
 	kind proto.ProbeKind
 	rs   *rnicState
@@ -211,26 +221,70 @@ func (a *Agent) acquireProbe() *inflightProbe {
 		a.probePool = a.probePool[:n-1]
 		return inf
 	}
-	return &inflightProbe{}
+	inf := &inflightProbe{a: a}
+	inf.expire = inf.onTimeout
+	return inf
 }
 
 // releaseProbe recycles a finished probe record. Callers must have removed
-// it from a.inflight and neutralized its timeout first; late CQE handlers
-// look probes up by seq, so they can never reach a recycled record.
+// it from a.inflight and cancelled its timeout first (or be the timeout);
+// late CQE handlers look probes up by seq, so they can never reach a
+// recycled record.
 func (a *Agent) releaseProbe(inf *inflightProbe) {
-	*inf = inflightProbe{}
+	*inf = inflightProbe{a: a, expire: inf.expire}
 	a.probePool = append(a.probePool, inf)
 }
 
+// pendingResponse is the responder's state for one probe, from ③ until
+// ACK2 is posted. fire (r.sendAck1, bound once per pooled record) is the
+// responder application's wakeup.
 type pendingResponse struct {
-	seq   uint64
-	t3    sim.Time // ③ responder device clock
-	rs    *rnicState
-	tuple ecmp.FiveTuple // the probe's tuple
-	src   struct {
-		gid string
-		qpn rnic.QPN
+	a      *Agent
+	fire   func()
+	seq    uint64
+	t3     sim.Time // ③ responder device clock
+	rs     *rnicState
+	tuple  ecmp.FiveTuple // the probe's tuple
+	srcGID string
+	srcQPN rnic.QPN
+}
+
+func (a *Agent) acquireResponse() *pendingResponse {
+	if n := len(a.respPool); n > 0 {
+		r := a.respPool[n-1]
+		a.respPool[n-1] = nil
+		a.respPool = a.respPool[:n-1]
+		return r
 	}
+	r := &pendingResponse{a: a}
+	r.fire = r.sendAck1
+	return r
+}
+
+func (a *Agent) releaseResponse(r *pendingResponse) {
+	*r = pendingResponse{a: a, fire: r.fire}
+	a.respPool = append(a.respPool, r)
+}
+
+// ackWake is the prober application's ⑥ wakeup after ACK1's receive CQE.
+// It names its probe by seq, not by record: the probe may time out (and
+// its record be recycled) while the application is waking up.
+type ackWake struct {
+	a    *Agent
+	fire func() // w.wake, bound once per pooled record
+	seq  uint64
+}
+
+func (a *Agent) acquireWake() *ackWake {
+	if n := len(a.wakePool); n > 0 {
+		w := a.wakePool[n-1]
+		a.wakePool[n-1] = nil
+		a.wakePool = a.wakePool[:n-1]
+		return w
+	}
+	w := &ackWake{a: a}
+	w.fire = w.wake
+	return w
 }
 
 type pathKey struct {
@@ -328,8 +382,10 @@ func (a *Agent) Start() error {
 		a.rnics[dev.ID()] = rs
 		infos = append(infos, rs.info)
 
-		// Service-tracing worker: one ticker per RNIC, pausing itself
-		// when the pinglist is empty (§4.2.2).
+		// Service-tracing worker: one ticker per RNIC. With an empty
+		// pinglist each tick returns at once, but the ticker keeps firing:
+		// parking idle tickers would drop events the sharded engine's
+		// same-instant tie order depends on (DESIGN.md §13).
 		rsCopy := rs
 		a.track(a.eng.Every(a.cfg.ServiceProbeInterval, a.cfg.ServiceProbeInterval, func() {
 			a.serviceProbeTick(rsCopy)
@@ -477,11 +533,11 @@ func (a *Agent) probe(rs *rnicState, kind proto.ProbeKind, tgt proto.PingTarget)
 	inf := a.acquireProbe()
 	inf.seq, inf.kind, inf.rs, inf.tgt, inf.tuple = seq, kind, rs, tgt, tuple
 	inf.t1 = a.host.ReadClock() // ①
-	payload := encodeProbe(seq)
+	typ := msgProbe
 	if a.cfg.OneWayIntraHost && tgt.Dst.Host == a.host.ID() {
 		if _, local := a.rnics[tgt.Dst.Dev]; local {
 			inf.oneWay = true
-			payload = encodeOneWay(seq)
+			typ = msgOneWay
 			a.Stats.OneWayProbes++
 		}
 	}
@@ -498,7 +554,7 @@ func (a *Agent) probe(rs *rnicState, kind proto.ProbeKind, tgt proto.PingTarget)
 		DstIP:   tgt.Dst.IP,
 		DstGID:  tgt.Dst.GID,
 		DstQPN:  tgt.Dst.QPN,
-		Payload: payload,
+		Payload: encodePayload(&a.payload, typ, seq, 0),
 	})
 	if err != nil {
 		// QP unusable (e.g. mid-restart): report as timeout immediately.
@@ -506,26 +562,32 @@ func (a *Agent) probe(rs *rnicState, kind proto.ProbeKind, tgt proto.PingTarget)
 		a.finishTimeout(inf)
 		return
 	}
-	inf.timeout = a.eng.After(a.cfg.ProbeTimeout, func() {
-		if _, live := a.inflight[seq]; !live {
-			return
-		}
-		// If both ACKs already reached the RNIC, the probe did not time
-		// out on the wire — the Agent process is just slow to handle the
-		// CQEs (e.g. CPU starvation); the pending ⑥ handler will finish
-		// it with an honest (large) prober delay.
-		if inf.have2 && inf.have5 && inf.haveR {
-			return
-		}
-		delete(a.inflight, seq)
-		if a.cfg.OnDemandTracing {
-			// The rejected design: trace only now that the probe failed.
-			// With the fault still present the trace dies at the broken
-			// hop and yields nothing usable.
-			a.tracePaths(rs, tgt, tuple, inf.oneWay)
-		}
-		a.finishTimeout(inf)
-	})
+	inf.timeout = a.eng.After(a.cfg.ProbeTimeout, inf.expire)
+}
+
+// onTimeout is a probe's timeout event. Every path that recycles the
+// record cancels the timeout first, so a firing timeout always belongs to
+// the record's current probe.
+func (inf *inflightProbe) onTimeout() {
+	a := inf.a
+	if _, live := a.inflight[inf.seq]; !live {
+		return
+	}
+	// If both ACKs already reached the RNIC, the probe did not time
+	// out on the wire — the Agent process is just slow to handle the
+	// CQEs (e.g. CPU starvation); the pending ⑥ handler will finish
+	// it with an honest (large) prober delay.
+	if inf.have2 && inf.have5 && inf.haveR {
+		return
+	}
+	delete(a.inflight, inf.seq)
+	if a.cfg.OnDemandTracing {
+		// The rejected design: trace only now that the probe failed.
+		// With the fault still present the trace dies at the broken
+		// hop and yields nothing usable.
+		a.tracePaths(inf.rs, inf.tgt, inf.tuple, inf.oneWay)
+	}
+	a.finishTimeout(inf)
 }
 
 // tracePaths refreshes the cached traced path of the probe tuple and of
@@ -616,10 +678,11 @@ func (a *Agent) onSendCQE(rs *rnicState, c rnic.CQE) {
 			WRID:    ackWRID(a.wrid),
 			SrcPort: pr.tuple.SrcPort, // mimic RC ACK source port
 			DstIP:   pr.tuple.SrcIP,
-			DstGID:  pr.src.gid,
-			DstQPN:  pr.src.qpn,
-			Payload: encodeAck2(pr.seq, delay),
+			DstGID:  pr.srcGID,
+			DstQPN:  pr.srcQPN,
+			Payload: encodePayload(&a.payload, msgAck2, pr.seq, delay),
 		})
+		a.releaseResponse(pr)
 	}
 }
 
@@ -648,18 +711,10 @@ func (a *Agent) onRecvCQE(rs *rnicState, c rnic.CQE) {
 		inf.t5 = c.Timestamp // ⑤
 		inf.have5 = true
 		// ⑥ is an application timestamp: it exists only after the Agent
-		// process actually handles the completion. Re-look the probe up by
-		// seq when it fires: the probe may have timed out (and its record
-		// been recycled) while the application was waking up.
-		a.eng.After(a.appDelay(), func() {
-			inf, ok := a.inflight[seq]
-			if !ok {
-				return
-			}
-			inf.t6 = a.host.ReadClock()
-			inf.have6 = true
-			a.maybeFinish(inf)
-		})
+		// process actually handles the completion.
+		w := a.acquireWake()
+		w.seq = seq
+		a.eng.After(a.appDelay(), w.fire)
 	case msgAck2:
 		inf, ok := a.inflight[seq]
 		if !ok {
@@ -671,25 +726,48 @@ func (a *Agent) onRecvCQE(rs *rnicState, c rnic.CQE) {
 	}
 }
 
+// wake is the ⑥ wakeup: re-look the probe up by seq, stamp ⑥.
+func (w *ackWake) wake() {
+	a, seq := w.a, w.seq
+	a.wakePool = append(a.wakePool, w)
+	inf, ok := a.inflight[seq]
+	if !ok {
+		return
+	}
+	inf.t6 = a.host.ReadClock()
+	inf.have6 = true
+	a.maybeFinish(inf)
+}
+
 // respond implements the responder role: ACK1 immediately (well, after
 // the app wakes up), ACK2 after ACK1's send CQE reveals ④.
 func (a *Agent) respond(rs *rnicState, c rnic.CQE, seq uint64) {
-	pr := &pendingResponse{seq: seq, t3: c.Timestamp, rs: rs, tuple: c.Tuple}
-	pr.src.gid = c.SrcGID
-	pr.src.qpn = c.SrcQPN
-	a.eng.After(a.appDelay(), func() {
-		a.wrid++
-		a.pending[a.wrid] = pr
-		a.Stats.ProbesAnswered++
-		_ = rs.qp.PostSend(rnic.SendRequest{
-			WRID:    ackWRID(a.wrid),
-			SrcPort: c.Tuple.SrcPort,
-			DstIP:   c.Tuple.SrcIP,
-			DstGID:  c.SrcGID,
-			DstQPN:  c.SrcQPN,
-			Payload: encodeAck1(seq),
-		})
+	pr := a.acquireResponse()
+	pr.seq, pr.t3, pr.rs, pr.tuple = seq, c.Timestamp, rs, c.Tuple
+	pr.srcGID, pr.srcQPN = c.SrcGID, c.SrcQPN
+	a.eng.After(a.appDelay(), pr.fire)
+}
+
+// sendAck1 is the responder application's wakeup: post ACK1 and wait
+// for its send CQE (④) in a.pending. A QP that refuses the send (torn
+// down by a restart) produces no CQE, so the record is recycled at once.
+func (pr *pendingResponse) sendAck1() {
+	a := pr.a
+	a.wrid++
+	a.pending[a.wrid] = pr
+	a.Stats.ProbesAnswered++
+	err := pr.rs.qp.PostSend(rnic.SendRequest{
+		WRID:    ackWRID(a.wrid),
+		SrcPort: pr.tuple.SrcPort,
+		DstIP:   pr.tuple.SrcIP,
+		DstGID:  pr.srcGID,
+		DstQPN:  pr.srcQPN,
+		Payload: encodePayload(&a.payload, msgAck1, pr.seq, 0),
 	})
+	if err != nil {
+		delete(a.pending, a.wrid)
+		a.releaseResponse(pr)
+	}
 }
 
 // appDelay is the application-level scheduling delay before the Agent
@@ -754,6 +832,7 @@ func (a *Agent) record(inf *inflightProbe, flags uint8, rtt, probd, respd, onewa
 	b := a.batch
 	if b == nil {
 		b = &proto.RecordBatch{}
+		b.Grow(a.lastBatchLen)
 		a.batch = b
 		if a.routeIntern == nil {
 			a.routeIntern = make(map[routeKey]internEntry)
@@ -822,6 +901,7 @@ func (a *Agent) upload() {
 	b.Sent = a.eng.Now()
 	b.Seq = uint64(a.Stats.Uploads)
 	a.batch = nil
+	a.lastBatchLen = b.Len()
 	clear(a.routeIntern) // route indexes die with the handed-off batch
 	if a.recSink != nil {
 		a.recSink.UploadRecords(b)
@@ -861,8 +941,8 @@ func (a *Agent) QPModified(ev verbs.ConnEvent) {
 }
 
 // QPDestroyed implements verbs.Tracer: the connection closed, so its
-// pinglist entry is removed; with no connections left, service tracing on
-// this RNIC pauses by itself.
+// pinglist entry is removed; with no connections left, the RNIC's
+// service-tracing ticks find an empty list and send nothing.
 func (a *Agent) QPDestroyed(ev verbs.ConnEvent) {
 	rs, ok := a.rnics[ev.LocalDev]
 	if !ok {

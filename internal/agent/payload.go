@@ -27,33 +27,15 @@ const (
 // payloadSize is the paper's probe/ACK payload size.
 const payloadSize = 50
 
-func encodeProbe(seq uint64) []byte {
-	b := make([]byte, payloadSize)
-	b[0] = msgProbe
-	binary.BigEndian.PutUint64(b[1:9], seq)
-	return b
-}
-
-func encodeAck1(seq uint64) []byte {
-	b := make([]byte, payloadSize)
-	b[0] = msgAck1
-	binary.BigEndian.PutUint64(b[1:9], seq)
-	return b
-}
-
-func encodeOneWay(seq uint64) []byte {
-	b := make([]byte, payloadSize)
-	b[0] = msgOneWay
-	binary.BigEndian.PutUint64(b[1:9], seq)
-	return b
-}
-
-func encodeAck2(seq uint64, respDelay sim.Time) []byte {
-	b := make([]byte, payloadSize)
-	b[0] = msgAck2
-	binary.BigEndian.PutUint64(b[1:9], seq)
-	binary.BigEndian.PutUint64(b[9:17], uint64(respDelay))
-	return b
+// encodePayload writes one payload into buf, the Agent's reusable
+// scratch, and returns it; PostSend copies the bytes into the packet.
+// respDelay is ACK2's field and zero for every other type.
+func encodePayload(buf *[payloadSize]byte, typ byte, seq uint64, respDelay sim.Time) []byte {
+	*buf = [payloadSize]byte{}
+	buf[0] = typ
+	binary.BigEndian.PutUint64(buf[1:9], seq)
+	binary.BigEndian.PutUint64(buf[9:17], uint64(respDelay))
+	return buf[:]
 }
 
 func decodePayload(b []byte) (typ byte, seq uint64, respDelay sim.Time, err error) {

@@ -10,10 +10,10 @@ import (
 // bytes: decode must never panic, and every accepted payload must survive
 // a re-encode/decode round trip.
 func FuzzDecodePayload(f *testing.F) {
-	f.Add(encodeProbe(1))
-	f.Add(encodeAck1(42))
-	f.Add(encodeAck2(7, 3*sim.Microsecond))
-	f.Add(encodeOneWay(9))
+	f.Add(enc(msgProbe, 1, 0))
+	f.Add(enc(msgAck1, 42, 0))
+	f.Add(enc(msgAck2, 7, 3*sim.Microsecond))
+	f.Add(enc(msgOneWay, 9, 0))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -25,13 +25,13 @@ func FuzzDecodePayload(f *testing.F) {
 		var re []byte
 		switch typ {
 		case msgProbe:
-			re = encodeProbe(seq)
+			re = enc(msgProbe, seq, 0)
 		case msgAck1:
-			re = encodeAck1(seq)
+			re = enc(msgAck1, seq, 0)
 		case msgAck2:
-			re = encodeAck2(seq, delay)
+			re = enc(msgAck2, seq, delay)
 		case msgOneWay:
-			re = encodeOneWay(seq)
+			re = enc(msgOneWay, seq, 0)
 		default:
 			t.Fatalf("decode accepted unknown type %d", typ)
 		}

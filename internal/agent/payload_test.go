@@ -9,8 +9,14 @@ import (
 	"rpingmesh/internal/sim"
 )
 
+// enc encodes into a fresh buffer.
+func enc(typ byte, seq uint64, respDelay sim.Time) []byte {
+	var buf [payloadSize]byte
+	return encodePayload(&buf, typ, seq, respDelay)
+}
+
 func TestPayloadSizes(t *testing.T) {
-	for _, b := range [][]byte{encodeProbe(1), encodeAck1(2), encodeAck2(3, 4)} {
+	for _, b := range [][]byte{enc(msgProbe, 1, 0), enc(msgAck1, 2, 0), enc(msgAck2, 3, 4)} {
 		if len(b) != payloadSize {
 			t.Fatalf("payload size = %d, want %d (the paper's 50 bytes)", len(b), payloadSize)
 		}
@@ -18,15 +24,15 @@ func TestPayloadSizes(t *testing.T) {
 }
 
 func TestPayloadRoundtrip(t *testing.T) {
-	typ, seq, d, err := decodePayload(encodeProbe(12345))
+	typ, seq, d, err := decodePayload(enc(msgProbe, 12345, 0))
 	if err != nil || typ != msgProbe || seq != 12345 || d != 0 {
 		t.Fatalf("probe roundtrip: %v %v %v %v", typ, seq, d, err)
 	}
-	typ, seq, d, err = decodePayload(encodeAck1(7))
+	typ, seq, d, err = decodePayload(enc(msgAck1, 7, 0))
 	if err != nil || typ != msgAck1 || seq != 7 {
 		t.Fatalf("ack1 roundtrip: %v %v %v %v", typ, seq, d, err)
 	}
-	typ, seq, d, err = decodePayload(encodeAck2(9, 42*sim.Microsecond))
+	typ, seq, d, err = decodePayload(enc(msgAck2, 9, 42*sim.Microsecond))
 	if err != nil || typ != msgAck2 || seq != 9 || d != 42*sim.Microsecond {
 		t.Fatalf("ack2 roundtrip: %v %v %v %v", typ, seq, d, err)
 	}
@@ -39,7 +45,7 @@ func TestPayloadRejectsGarbage(t *testing.T) {
 	if _, _, _, err := decodePayload(make([]byte, 5)); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	bad := encodeProbe(1)
+	bad := enc(msgProbe, 1, 0)
 	bad[0] = 99
 	if _, _, _, err := decodePayload(bad); err == nil {
 		t.Fatal("unknown type accepted")
@@ -51,7 +57,7 @@ func TestPropertyPayloadRoundtrip(t *testing.T) {
 		if delay < 0 {
 			delay = -delay
 		}
-		typ, s, d, err := decodePayload(encodeAck2(seq, sim.Time(delay)))
+		typ, s, d, err := decodePayload(enc(msgAck2, seq, sim.Time(delay)))
 		return err == nil && typ == msgAck2 && s == seq && d == sim.Time(delay)
 	}
 	if err := quick.Check(f, nil); err != nil {

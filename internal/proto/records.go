@@ -13,6 +13,7 @@ import (
 	"errors"
 	"hash/maphash"
 	"net/netip"
+	"slices"
 
 	"rpingmesh/internal/rnic"
 	"rpingmesh/internal/sim"
@@ -76,6 +77,19 @@ func (r *Records) Reset() {
 	r.probd = r.probd[:0]
 	r.respd = r.respd[:0]
 	r.oneway = r.oneway[:0]
+}
+
+// Grow makes room for n more records in every column, so the next n
+// Appends allocate nothing. Routes are not pre-sized.
+func (r *Records) Grow(n int) {
+	r.routeIdx = slices.Grow(r.routeIdx, n)
+	r.seq = slices.Grow(r.seq, n)
+	r.sentAt = slices.Grow(r.sentAt, n)
+	r.flags = slices.Grow(r.flags, n)
+	r.rtt = slices.Grow(r.rtt, n)
+	r.probd = slices.Grow(r.probd, n)
+	r.respd = slices.Grow(r.respd, n)
+	r.oneway = slices.Grow(r.oneway, n)
 }
 
 // AddRoute interns a route and returns its index. Callers are expected
@@ -277,14 +291,7 @@ func RecordsFromBatch(ub UploadBatch) *RecordBatch {
 	b := &RecordBatch{Host: ub.Host, Sent: ub.Sent, Seq: ub.Seq}
 	if n := len(ub.Results); n > 0 {
 		b.routes = make([]Route, 0, n)
-		b.routeIdx = make([]int32, 0, n)
-		b.seq = make([]uint64, 0, n)
-		b.sentAt = make([]sim.Time, 0, n)
-		b.flags = make([]uint8, 0, n)
-		b.rtt = make([]sim.Time, 0, n)
-		b.probd = make([]sim.Time, 0, n)
-		b.respd = make([]sim.Time, 0, n)
-		b.oneway = make([]sim.Time, 0, n)
+		b.Grow(n)
 	}
 	for i := range ub.Results {
 		b.AppendResult(ub.Results[i])

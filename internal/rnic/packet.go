@@ -39,6 +39,33 @@ type Packet struct {
 	// SentAt is the true simulation time the packet left the source RNIC
 	// (set by the device, read by the network for diagnostics).
 	SentAt sim.Time
+
+	// Pool state of UD/UC packets (Device.newPacket). inline backs
+	// Payload when it fits; onWire and deliver are bound once when the
+	// packet is allocated, so a recycled packet is scheduled without
+	// building a closure. RC packets leave them nil: armRetry copies its
+	// packet, and a copy must not carry callbacks bound to the original.
+	inline  [inlinePayload]byte
+	qp      *QP     // the posting QP, read by onWire
+	dst     *Device // the receiver, set by DeliverTo
+	onWire  func()
+	deliver func()
+	free    bool // on a device's free list
+}
+
+// inlinePayload is the payload size a pooled packet carries without a
+// separate allocation: the Agent's 50-byte probe and ACK payloads fit.
+const inlinePayload = 64
+
+// DeliverTo returns the callback that hands p to dst, for a Network to
+// schedule at the packet's arrival instant. Pooled packets return their
+// pre-bound callback; others get a fresh closure.
+func (p *Packet) DeliverTo(dst *Device) func() {
+	if p.deliver == nil {
+		return func() { dst.Deliver(p) }
+	}
+	p.dst = dst
+	return p.deliver
 }
 
 // PacketKind labels the transport role of a packet.
@@ -74,7 +101,9 @@ const roceHeaderBytes = 66
 // destination device.
 type Network interface {
 	// SendPacket takes ownership of p at the moment the packet hits the
-	// wire.
+	// wire. A packet the network drops is simply forgotten; one it
+	// delivers must reach Device.Deliver exactly once, on the engine of
+	// the receiving device, which may recycle it right after.
 	SendPacket(p *Packet)
 }
 

@@ -16,6 +16,12 @@
 //
 // Devices are driven by the discrete-event engine and hand packets to a
 // Network implementation (internal/simnet).
+//
+// A receive CQE's Payload is valid only inside the completion callback,
+// like a verbs receive buffer the application reposts: UD and UC packets
+// come from a small per-device free list, and the delivering device
+// recycles the packet, payload buffer included, as soon as the callback
+// returns. A handler that keeps payload bytes must copy them.
 package rnic
 
 import (
@@ -95,9 +101,11 @@ type CQE struct {
 	Timestamp sim.Time // device clock, NOT true simulation time
 
 	// Receive-side metadata (valid for CQERecv).
-	SrcGID  string
-	SrcQPN  QPN
-	Tuple   ecmp.FiveTuple
+	SrcGID string
+	SrcQPN QPN
+	Tuple  ecmp.FiveTuple
+	// Payload aliases the arrived packet's buffer: valid only until the
+	// completion callback returns (see the package comment).
 	Payload []byte
 }
 
@@ -176,7 +184,18 @@ type Device struct {
 
 	connectedQPs int
 	Counters     Counters
+
+	// free is the device's packet free list (see newPacket), touched
+	// only by events on the device's own engine.
+	free []*Packet
 }
+
+// packetPoolCap bounds each device's packet free list. A packet is taken
+// from the sender's list and returned to the receiver's, so under
+// asymmetric traffic (a responder that receives more than it sends) an
+// uncapped list grows without bound; surplus packets are left to the GC.
+// Sixteen covers a device's packets in flight at steady probing rates.
+const packetPoolCap = 16
 
 // NewDevice creates a device attached to the given engine and network.
 func NewDevice(eng *sim.Engine, net Network, cfg Config) *Device {
@@ -388,44 +407,92 @@ func (q *QP) PostSend(req SendRequest) error {
 		}
 	}
 
-	pkt := &Packet{
-		Tuple:    ecmp.RoCETuple(d.cfg.IP, dstIP, req.SrcPort),
-		SrcDev:   d.cfg.ID,
-		SrcGID:   d.cfg.GID,
-		SrcQPN:   q.qpn,
-		DstGID:   dstGID,
-		DstQPN:   dstQPN,
-		QPType:   q.typ,
-		Kind:     KindMessage,
-		WRID:     req.WRID,
-		DSCP:     req.DSCP,
-		Payload:  append([]byte(nil), req.Payload...),
-		WireSize: roceHeaderBytes + len(req.Payload),
+	var pkt *Packet
+	if q.typ == RC {
+		pkt = &Packet{}
+	} else {
+		pkt = d.newPacket()
+		pkt.qp = q
 	}
+	pkt.Tuple = ecmp.RoCETuple(d.cfg.IP, dstIP, req.SrcPort)
+	pkt.SrcDev = d.cfg.ID
+	pkt.SrcGID = d.cfg.GID
+	pkt.SrcQPN = q.qpn
+	pkt.DstGID = dstGID
+	pkt.DstQPN = dstQPN
+	pkt.QPType = q.typ
+	pkt.Kind = KindMessage
+	pkt.WRID = req.WRID
+	pkt.DSCP = req.DSCP
+	pkt.Payload = append(pkt.inline[:0], req.Payload...)
+	pkt.WireSize = roceHeaderBytes + len(req.Payload)
 
 	wireDelay := d.cfg.TxOverhead + extra + d.serialization(pkt.WireSize)
-	switch q.typ {
-	case RC:
-		seq := q.nextSeq
-		q.nextSeq++
-		pkt.Seq = seq
-		p := &rcPending{req: req, seq: seq}
-		q.pendingRC[seq] = p
-		d.eng.After(wireDelay, func() {
-			d.transmit(pkt)
-			q.armRetry(p, pkt)
-		})
-	default:
-		d.eng.After(wireDelay, func() {
-			d.transmit(pkt)
-			// UD/UC: CQE as soon as the message is on the wire, stamped
-			// with the device clock — this is what makes ② and ④
-			// observable.
-			q.complete(CQE{Type: CQESend, Status: StatusOK, QPN: q.qpn, WRID: req.WRID, Timestamp: d.ReadClock()})
-		})
+	if q.typ != RC {
+		d.eng.After(wireDelay, pkt.onWire)
+		return nil
 	}
+	seq := q.nextSeq
+	q.nextSeq++
+	pkt.Seq = seq
+	p := &rcPending{req: req, seq: seq}
+	q.pendingRC[seq] = p
+	d.eng.After(wireDelay, func() {
+		d.transmit(pkt)
+		q.armRetry(p, pkt)
+	})
 	return nil
 }
+
+// newPacket takes a UD/UC packet from the device's free list, or
+// allocates one and binds its callbacks.
+func (d *Device) newPacket() *Packet {
+	if n := len(d.free); n > 0 {
+		p := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		p.free = false
+		return p
+	}
+	p := &Packet{}
+	p.onWire = p.sendOnWire
+	p.deliver = p.deliverNow
+	return p
+}
+
+// recycle returns a pooled packet to this device's free list, unless the
+// list is full. RC packets (no bound callbacks) are left to the GC.
+func (d *Device) recycle(p *Packet) {
+	if p.onWire == nil {
+		return
+	}
+	if p.free {
+		panic("rnic: packet recycled twice")
+	}
+	p.free = true
+	if len(d.free) >= packetPoolCap {
+		return
+	}
+	*p = Packet{onWire: p.onWire, deliver: p.deliver, free: true}
+	d.free = append(d.free, p)
+}
+
+// sendOnWire is a UD/UC packet's wire-time event: transmit, then the
+// send CQE stamped with the device clock, as soon as the message is on
+// the wire — this is what makes ② and ④ observable. A packet the device
+// itself drops comes straight back to its free list.
+func (p *Packet) sendOnWire() {
+	q := p.qp
+	d := q.dev
+	wrid := p.WRID
+	sent := d.transmit(p)
+	q.complete(CQE{Type: CQESend, Status: StatusOK, QPN: q.qpn, WRID: wrid, Timestamp: d.ReadClock()})
+	if !sent {
+		d.recycle(p)
+	}
+}
+
+func (p *Packet) deliverNow() { p.dst.Deliver(p) }
 
 func (q *QP) armRetry(p *rcPending, pkt *Packet) {
 	d := q.dev
@@ -454,23 +521,32 @@ func (d *Device) serialization(bytes int) sim.Time {
 	return sim.Time(ns)
 }
 
-// transmit pushes a packet to the wire, applying egress fault states.
-func (d *Device) transmit(p *Packet) {
+// transmit pushes a packet to the wire, applying egress fault states. It
+// reports whether the network took the packet.
+func (d *Device) transmit(p *Packet) bool {
 	if d.misconfig {
 		d.Counters.TxDropsConfig++
-		return
+		return false
 	}
 	if !d.up {
 		d.Counters.TxDropsDown++
-		return
+		return false
 	}
 	p.SentAt = d.eng.Now()
 	d.Counters.Sent++
 	d.net.SendPacket(p)
+	return true
 }
 
 // Deliver is called by the Network when a packet arrives at this device.
+// A pooled packet returns to this device's free list once the receive
+// CQE's callback has returned (or the packet is dropped here).
 func (d *Device) Deliver(p *Packet) {
+	d.receive(p)
+	d.recycle(p)
+}
+
+func (d *Device) receive(p *Packet) {
 	if d.misconfig {
 		d.Counters.RxDropsConfig++
 		return

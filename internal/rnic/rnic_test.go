@@ -64,6 +64,9 @@ func TestUDSendReceive(t *testing.T) {
 	qb.OnCompletion(func(c CQE) {
 		if c.Type == CQERecv {
 			cc := c
+			// The payload is valid only inside the callback: the packet
+			// is recycled as soon as it returns, so keep a copy.
+			cc.Payload = append([]byte(nil), c.Payload...)
 			recvCQE = &cc
 		}
 	})

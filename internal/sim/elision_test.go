@@ -26,8 +26,8 @@ func elisionScript(t *testing.T, seed int64, shards int, tune func(*ShardedEngin
 	stopAfter := make([]int, pods)
 	crossPlan := make([][]int, pods)
 	for i := 0; i < pods; i++ {
-		// Staggered odd periods keep same-instant cross-pod interactions
-		// measure-zero (the tie caveat of DESIGN.md §9/§13); fixed seeds
+		// Staggered odd periods keep same-instant cross-pod ties out of
+		// the script (the known limitation of DESIGN.md §13); fixed seeds
 		// make any residual collision deterministic, not flaky.
 		periods[i] = Time(100001 + 131*i + 2*r.Intn(29))
 		if r.Intn(3) == 0 {

@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -46,18 +45,17 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. Events fire in (time, seq) order; seq
-// breaks ties in scheduling order so the simulation is deterministic.
+// event is the pooled record behind a scheduled callback. Events fire in
+// (time, seq) order; seq breaks ties in scheduling order so the
+// simulation is deterministic. The ordering key itself lives in the
+// heap entry (heapEntry), not here.
 //
 // Event records are pooled per engine: after an event fires (or its
 // cancelled record is reaped) the struct goes back on a free list. The
 // generation counter protects pooled reuse from stale Handles.
 type event struct {
-	at   Time
-	seq  uint64
 	fn   func()
 	eng  *Engine
-	idx  int
 	gen  uint64
 	dead bool
 }
@@ -94,32 +92,83 @@ func (h Handle) Cancel() {
 // rebuild (popping a few dead records lazily is cheaper).
 const compactMinHeap = 64
 
-type eventQueue []*event
+// heapEntry is one slot of the event heap. The (at, seq) key is stored
+// inline so sift comparisons never follow the record pointer.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a heapEntry) less(b heapEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is an inline 4-ary min-heap on (at, seq). Four children per
+// node halve the depth of a binary heap, so a pop does half the sift
+// levels, and a node's children share a cache line or two.
+type eventHeap []heapEntry
+
+func (h *eventHeap) push(x heapEntry) {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the minimum entry. The heap must be non-empty.
+func (h *eventHeap) pop() heapEntry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = heapEntry{}
+	*h = q[:n]
+	if n > 0 {
+		h.down(0)
 	}
-	return q[i].seq < q[j].seq
+	return top
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
+
+func (h eventHeap) up(i int) {
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	x := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// init restores the heap property over arbitrary contents.
+func (h eventHeap) init() {
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 // bufEvent is an event generated inside a parallel shard window whose
@@ -147,7 +196,7 @@ type outBucket struct {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	queue   eventHeap
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
@@ -227,21 +276,16 @@ func (e *Engine) release(ev *event) {
 // compact rebuilds the heap without its cancelled records.
 func (e *Engine) compact() {
 	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.dead {
-			e.release(ev)
+	for _, x := range e.queue {
+		if x.ev.dead {
+			e.release(x.ev)
 		} else {
-			live = append(live, ev)
+			live = append(live, x)
 		}
 	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
+	clear(e.queue[len(live):])
 	e.queue = live
-	for i, ev := range e.queue {
-		ev.idx = i
-	}
-	heap.Init(&e.queue)
+	e.queue.init()
 	e.deadCount = 0
 }
 
@@ -256,9 +300,9 @@ func (e *Engine) At(t Time, fn func()) Handle {
 		t = e.now
 	}
 	ev := e.acquire()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.fn = fn
+	e.queue.push(heapEntry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -311,7 +355,8 @@ func (e *Engine) Every(offset, period Time, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: Every with non-positive period %d", period))
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
-	t.handle = e.After(offset, t.tick)
+	t.tickFn = t.tick
+	t.handle = e.After(offset, t.tickFn)
 	return t
 }
 
@@ -320,6 +365,7 @@ type Ticker struct {
 	engine  *Engine
 	period  Time
 	fn      func()
+	tickFn  func() // t.tick, bound once so re-arming allocates nothing
 	handle  Handle
 	stopped bool
 }
@@ -330,7 +376,7 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stopped && !t.engine.stopped {
-		t.handle = t.engine.After(t.period, t.tick)
+		t.handle = t.engine.After(t.period, t.tickFn)
 	}
 }
 
@@ -356,10 +402,9 @@ func (e *Engine) Live() int { return len(e.queue) - e.deadCount }
 // nextAt reports the time of the earliest live event, reaping any
 // cancelled records that have bubbled to the top.
 func (e *Engine) nextAt() (Time, bool) {
-	for len(e.queue) > 0 && e.queue[0].dead {
-		ev := heap.Pop(&e.queue).(*event)
+	for len(e.queue) > 0 && e.queue[0].ev.dead {
 		e.deadCount--
-		e.release(ev)
+		e.release(e.queue.pop().ev)
 	}
 	if len(e.queue) == 0 {
 		return 0, false
@@ -405,16 +450,17 @@ func (e *Engine) runWindow(w Time) {
 }
 
 func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(*event)
+	top := e.queue.pop()
+	ev := top.ev
 	if ev.dead {
 		e.deadCount--
 		e.release(ev)
 		return
 	}
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, ev.at))
+	if top.at < e.now {
+		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, top.at))
 	}
-	e.now = ev.at
+	e.now = top.at
 	e.fired++
 	fn := ev.fn
 	e.release(ev)

@@ -67,8 +67,8 @@ func shardScript(t *testing.T, shards int, horizon Time) shardTrace {
 		i := i
 		e := podEng[i]
 		// Stagger periods so pods never collide on the same nanosecond
-		// (same-instant cross-pod collisions order differently in the two
-		// modes and are measure-zero in the real system; see DESIGN.md §9).
+		// (same-instant cross-pod collisions can order differently in the
+		// two modes; see the known limitation in DESIGN.md §13).
 		period := Time(100001+13*i) + Time(rngs[i]%7)
 		e.Every(period, period, func() {
 			tr.pods[i] = append(tr.pods[i], fmt.Sprintf("%d local shared=%d", e.Now(), shared))

@@ -378,8 +378,9 @@ func (n *Net) SendPacket(p *rnic.Packet) {
 		ls.delivered.Add(1)
 	}
 	// The destination device is already in hand — resolve its engine
-	// directly instead of re-looking it up by ID.
-	srcEng.ScheduleOn(dst.Engine(), now+delay, func() { dst.Deliver(p) })
+	// directly instead of re-looking it up by ID. A pooled packet carries
+	// its delivery callback, so the hop schedules without a closure.
+	srcEng.ScheduleOn(dst.Engine(), now+delay, p.DeliverTo(dst))
 }
 
 // chance returns a uniform [0,1) value that is a pure function of the

@@ -22,6 +22,13 @@ const shardedGoldenPath = "testdata/sharded_golden.json"
 // with the given shard count and returns the report digest.
 func runShardedScenario(t testing.TB, shards int) string {
 	t.Helper()
+	return digestReports(shardedScenario(t, shards).Analyzer.Reports())
+}
+
+// shardedScenario runs the sharded golden scenario to completion and
+// returns the finished cluster.
+func shardedScenario(t testing.TB, shards int) *rpingmesh.Cluster {
+	t.Helper()
 	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
 		Pods: 4, ToRsPerPod: 2, AggsPerPod: 2, Spines: 2,
 		HostsPerToR: 2, RNICsPerHost: 1,
@@ -53,7 +60,7 @@ func runShardedScenario(t testing.TB, shards int) string {
 	})
 	in.Play(sched)
 	c.Run(horizon + sim.Minute)
-	return digestReports(c.Analyzer.Reports())
+	return c
 }
 
 func TestShardedGoldenEquivalence(t *testing.T) {
