@@ -21,7 +21,9 @@ test:
 # with repetition; everything else runs once. The streaming hub, the
 # tsdb follower, console reads across a follower CatchUp, and the
 # reader-swarm chaos scenario get named extra repetitions: they are the
-# concurrency hot spots of the serving tier. The simulated spine's
+# concurrency hot spots of the serving tier. So does the ingest
+# consumers' park/wake ping-pong: their condvar is the only wake path,
+# and a lost wake-up strands a batch. The simulated spine's
 # per-device packet pools and per-agent record pools must stay owned by
 # one engine goroutine each; the sharded golden at GOMAXPROCS=8 is the
 # run where pods recycle packets onto other pods' devices concurrently.
@@ -31,6 +33,7 @@ race:
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestShardedGoldenEquivalence' .
 	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark|TestConsoleReadsDuringCatchUp' ./internal/api
 	$(GO) test -race -count=4 -run 'TestFollower' ./internal/tsdb
+	$(GO) test -race -count=4 -run 'TestConsumerWakesOnEveryEnqueue' ./internal/pipeline
 	$(GO) test -race -count=2 -run 'TestShardedScenario|TestAPIReadersScenarioGreen' ./internal/chaos
 	$(GO) test -race -timeout 30m ./...
 
@@ -102,9 +105,10 @@ bakeoff:
 # analysis (serial + sharded), incident folding, pipeline ingest, the
 # pod-sharded simulation engine (serial vs 2/4 shards), the streaming
 # hub fan-out, the tsdb follower catch-up, one upload round trip over
-# loopback (boxed and flat), and one console /range read (256 and 2048
+# loopback (boxed and flat), the same upload handed to started pipeline
+# consumers at GOMAXPROCS 1 and 2, and one console /range read (256 and 2048
 # points: the same allocs/op at both is the gated property).
-BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup|BenchmarkWireUpload|BenchmarkConsoleRange)$$
+BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup|BenchmarkWireUpload|BenchmarkWireIngest|BenchmarkConsoleRange)$$
 BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/localizer ./internal/api ./internal/tsdb ./internal/wire
 
 bench-json:
@@ -163,8 +167,8 @@ determinism:
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestRecordsEncodeDeterministic|TestBatchEncoderInternsInOrder|TestSketchDeterministic' ./internal/proto ./internal/tsdb
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'FuzzReadFrame|FuzzUploadFrame|TestUploadDeliversWhatWasSent' ./internal/wire
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'FuzzReadFrame|FuzzUploadFrame|TestUploadDeliversWhatWasSent' ./internal/wire
-	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery' ./internal/api
-	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery' ./internal/api
+	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery|FuzzParseTenants' ./internal/api ./internal/controller
+	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery|FuzzParseTenants' ./internal/api ./internal/controller
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon|TestHeapMatchesOracle' ./internal/sim

@@ -12,6 +12,7 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,7 +45,10 @@ func ParseTenants(s string) ([]TenantConfig, error) {
 	var out []TenantConfig
 	seen := make(map[string]bool)
 	for _, ent := range strings.Split(s, ",") {
-		parts := strings.Split(strings.TrimSpace(ent), ":")
+		parts := strings.Split(ent, ":")
+		for i := range parts {
+			parts[i] = strings.TrimSpace(parts[i])
+		}
 		if len(parts) < 2 || len(parts) > 3 || parts[0] == "" {
 			return nil, fmt.Errorf("tenant %q: want name:weight or name:weight:maxpps", ent)
 		}
@@ -59,7 +63,7 @@ func ParseTenants(s string) ([]TenantConfig, error) {
 		tc := TenantConfig{Name: parts[0], Weight: w}
 		if len(parts) == 3 {
 			max, err := strconv.ParseFloat(parts[2], 64)
-			if err != nil || max <= 0 {
+			if err != nil || !(max > 0) || math.IsInf(max, 0) {
 				return nil, fmt.Errorf("tenant %q: bad maxpps %q", parts[0], parts[2])
 			}
 			tc.MaxPPS = max

@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,11 +55,46 @@ func TestParseTenants(t *testing.T) {
 	if cfgs, err := ParseTenants("  "); err != nil || cfgs != nil {
 		t.Fatalf("blank flag = %+v, %v", cfgs, err)
 	}
-	for _, bad := range []string{"gold", "gold:0", "gold:x", "gold:1,gold:2", ":3", "gold:1:-5", "gold:1:nan:extra"} {
+	for _, bad := range []string{"gold", "gold:0", "gold:x", "gold:1,gold:2", ":3", "gold:1:-5", "gold:1:nan:extra",
+		"gold:4:NaN", "gold:4:+Inf", "gold:4:-Inf", "gold :4,gold:1", " :4"} {
 		if _, err := ParseTenants(bad); err == nil {
 			t.Fatalf("ParseTenants(%q) accepted", bad)
 		}
 	}
+	// Fields are trimmed around ':' as well as ','.
+	cfgs, err = ParseTenants(" gold : 4 : 50 ,silver:2")
+	if err != nil || len(cfgs) != 2 || cfgs[0] != (TenantConfig{Name: "gold", Weight: 4, MaxPPS: 50}) {
+		t.Fatalf("ParseTenants with spaces = %+v, %v", cfgs, err)
+	}
+}
+
+// FuzzParseTenants: no input panics, and every accepted config is one the
+// scheduler can use — non-empty, trimmed, unique names, Weight ≥ 1 and a
+// finite MaxPPS ≥ 0.
+func FuzzParseTenants(f *testing.F) {
+	for _, s := range []string{"gold:4:NaN", "gold:4:+Inf", "gold :4,gold:1",
+		"gold:4,silver:2:250.5,bronze:1", "", "a:1:0x1p3", "a:+1, b:2:1e308"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cfgs, err := ParseTenants(s)
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool)
+		for _, tc := range cfgs {
+			if tc.Name == "" || tc.Name != strings.TrimSpace(tc.Name) || seen[tc.Name] {
+				t.Fatalf("ParseTenants(%q): bad or repeated name %q in %+v", s, tc.Name, cfgs)
+			}
+			seen[tc.Name] = true
+			if tc.Weight < 1 {
+				t.Fatalf("ParseTenants(%q): %q has weight %d", s, tc.Name, tc.Weight)
+			}
+			if !(tc.MaxPPS >= 0) || math.IsInf(tc.MaxPPS, 0) {
+				t.Fatalf("ParseTenants(%q): %q has maxpps %v", s, tc.Name, tc.MaxPPS)
+			}
+		}
+	})
 }
 
 // TestEmptyTenantsBitIdenticalPinglists: with no tenants configured the

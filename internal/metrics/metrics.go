@@ -22,7 +22,7 @@ type Distribution struct {
 	min     float64
 	max     float64
 	cap     int
-	rng     *rand.Rand
+	rng     *rand.Rand // seeded at the first overflow; nil until then
 	seed    int64
 	sorted  bool
 }
@@ -43,7 +43,6 @@ func NewDistributionSize(size int, seed int64) *Distribution {
 	return &Distribution{
 		samples: make([]float64, 0, min(size, 1024)),
 		cap:     size,
-		rng:     rand.New(rand.NewSource(seed)),
 		seed:    seed,
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
@@ -51,7 +50,7 @@ func NewDistributionSize(size int, seed int64) *Distribution {
 }
 
 // Reset empties the distribution in place, keeping the sample buffer's
-// backing array and re-seeding the subsampling stream, so a reused
+// backing array and rewinding the subsampling stream, so a reused
 // distribution observes any sample sequence bit-identically to a fresh
 // one — callers (the Analyzer's per-window SLA scratch) rely on that to
 // reuse buffers across windows without perturbing seeded runs.
@@ -61,7 +60,7 @@ func (d *Distribution) Reset() {
 	d.sum = 0
 	d.min = math.Inf(1)
 	d.max = math.Inf(-1)
-	d.rng = rand.New(rand.NewSource(d.seed))
+	d.rng = nil
 	d.sorted = false
 }
 
@@ -81,6 +80,12 @@ func (d *Distribution) Add(v float64) {
 		return
 	}
 	// Reservoir replacement keeps a uniform sample of everything seen.
+	// The stream is seeded here, not at construction: seeding a
+	// math/rand source costs ~5 KB and a 607-word loop, and most
+	// distributions never overflow. The draws are the same either way.
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(d.seed))
+	}
 	if j := d.rng.Int63n(d.n); j < int64(d.cap) {
 		d.samples[j] = v
 		d.sorted = false

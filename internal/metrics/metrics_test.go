@@ -156,6 +156,91 @@ func TestPropertyExactQuantiles(t *testing.T) {
 	}
 }
 
+// eagerReservoir is the reservoir as it was before seeding went lazy: the
+// subsampling stream is seeded at construction and on every reset.
+type eagerReservoir struct {
+	samples []float64
+	n       int64
+	cap     int
+	seed    int64
+	rng     *rand.Rand
+}
+
+func newEagerReservoir(size int, seed int64) *eagerReservoir {
+	r := &eagerReservoir{cap: size, seed: seed}
+	r.reset()
+	return r
+}
+
+func (r *eagerReservoir) reset() {
+	r.samples = r.samples[:0]
+	r.n = 0
+	r.rng = rand.New(rand.NewSource(r.seed))
+}
+
+func (r *eagerReservoir) add(v float64) {
+	r.n++
+	if len(r.samples) < r.cap {
+		r.samples = append(r.samples, v)
+		return
+	}
+	if j := r.rng.Int63n(r.n); j < int64(r.cap) {
+		r.samples[j] = v
+	}
+}
+
+// Lazy seeding draws the same stream as eager seeding: across sequences
+// just under, at and just over the reservoir, and far past it, with Reset
+// cycles between them, the retained samples and every quantile match.
+func TestLazyReservoirMatchesEager(t *testing.T) {
+	const seed = 7
+	d := NewDistributionSize(DefaultReservoir, seed)
+	oracle := newEagerReservoir(DefaultReservoir, seed)
+	src := rand.New(rand.NewSource(3))
+	for cycle, n := range []int{8191, 8192, 8193, 50000, 8193, 50000, 10} {
+		if cycle > 0 {
+			d.Reset()
+			oracle.reset()
+		}
+		for i := 0; i < n; i++ {
+			v := src.Float64() * 1000
+			d.Add(v)
+			oracle.add(v)
+		}
+		if d.Count() != oracle.n || len(d.samples) != len(oracle.samples) {
+			t.Fatalf("cycle %d (n=%d): count %d/%d retained, want %d/%d",
+				cycle, n, d.Count(), len(d.samples), oracle.n, len(oracle.samples))
+		}
+		for i := range oracle.samples {
+			if d.samples[i] != oracle.samples[i] {
+				t.Fatalf("cycle %d (n=%d): sample %d = %v, want %v", cycle, n, i, d.samples[i], oracle.samples[i])
+			}
+		}
+		want := &Distribution{samples: append([]float64(nil), oracle.samples...)}
+		for _, q := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
+			if got, w := d.Quantile(q), want.Quantile(q); got != w {
+				t.Fatalf("cycle %d (n=%d): Q(%v) = %v, want %v", cycle, n, q, got, w)
+			}
+		}
+	}
+}
+
+// A distribution that never overflows its reservoir never builds a rand
+// source: construction plus 1 000 Adds is the struct and its sample
+// buffer, nothing else.
+func TestDistributionSeedsOnlyOnOverflow(t *testing.T) {
+	var d *Distribution
+	allocs := testing.AllocsPerRun(20, func() {
+		d = NewDistribution()
+		for i := 0; i < 1000; i++ {
+			d.Add(float64(i))
+		}
+	})
+	if allocs > 2 || d.rng != nil {
+		t.Fatalf("NewDistribution + 1000 Adds: %v allocs/run, rng seeded: %v", allocs, d.rng != nil)
+	}
+}
+
 func TestCounter(t *testing.T) {
 	var c Counter
 	if c.Rate() != 0 {

@@ -37,7 +37,6 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,12 +149,6 @@ type partition struct {
 	fullWaiting int // producers blocked on notFull
 	sinceLag    int // record enqueues since the last lag sample
 	lagPending  int // queued items carrying a lag timestamp (conservative)
-
-	// hasWork lets a spinning consumer poll for new items without taking
-	// the mutex (and so without slowing the producer's lock fast path).
-	// It may read stale true — the consumer always re-checks count under
-	// the lock — but never stale false while items are queued.
-	hasWork atomic.Bool
 
 	depth         metrics.Gauge
 	enqueued      uint64
@@ -453,9 +446,6 @@ func (p *Pipeline) enqueue(pi int, rb *proto.RecordBatch, exactLag bool) {
 		pt.lagPending++
 	}
 	pt.push(it)
-	if pt.count == 1 {
-		pt.hasWork.Store(true)
-	}
 	pt.enqueued++
 	pt.depth.Set(int64(pt.count))
 	// Signal after unlock so the woken consumer doesn't immediately block
@@ -548,7 +538,6 @@ func (p *Pipeline) consume(pi int) {
 	spare := make([]item, p.cfg.Capacity)
 	for {
 		pt.mu.Lock()
-		spins := 0
 		for pt.count == 0 {
 			p.mu.Lock()
 			stop := p.stopping
@@ -557,21 +546,10 @@ func (p *Pipeline) consume(pi int) {
 				pt.mu.Unlock()
 				return
 			}
-			// Spin briefly before sleeping: under sustained load the next
-			// batch is microseconds away, and a parked consumer forces
-			// every producer enqueue through a wake-up. The spin polls
-			// hasWork lock-free so it never contends the producer's lock
-			// fast path; only after the budget is spent does the consumer
-			// arm the condvar.
-			if spins < 4 {
-				spins++
-				pt.mu.Unlock()
-				for s := 0; s < 256 && !pt.hasWork.Load(); s++ {
-					runtime.Gosched()
-				}
-				pt.mu.Lock()
-				continue
-			}
+			// Park at once, never spin: a yielding consumer lands on the
+			// scheduler's global run queue, which is served before the
+			// network poller, so on few Ps a spin starves the very sockets
+			// the next batch arrives on (DESIGN.md §11).
 			pt.waiting++
 			pt.notEmpty.Wait()
 			pt.waiting--
@@ -615,7 +593,6 @@ func (pt *partition) takeAllLocked(spare []item) ([]item, int, int, bool) {
 	pt.lagPending = 0
 	pt.buf = spare
 	pt.head, pt.count = 0, 0
-	pt.hasWork.Store(false)
 	pt.dequeued += uint64(n)
 	pt.depth.Set(0)
 	if pt.fullWaiting > 0 {
@@ -639,9 +616,6 @@ func (p *Pipeline) popLocked(pt *partition, dst []item) int {
 		}
 	}
 	pt.count -= n
-	if pt.count == 0 {
-		pt.hasWork.Store(false)
-	}
 	pt.dequeued += uint64(n)
 	pt.depth.Set(int64(pt.count))
 	if pt.fullWaiting > 0 {

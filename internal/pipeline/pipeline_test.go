@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rpingmesh/internal/proto"
 	"rpingmesh/internal/topo"
@@ -326,6 +328,83 @@ func TestStatsDepthAndLag(t *testing.T) {
 	}
 	if st.Lag.Max != 500 {
 		t.Fatalf("max lag %v, want 500", st.Lag.Max)
+	}
+}
+
+// signalSink hands every delivered batch to the test goroutine.
+type signalSink chan *proto.RecordBatch
+
+func (s signalSink) UploadRecords(rb *proto.RecordBatch) { s <- rb }
+
+// Consumers park the moment their partition empties, so the condvar is
+// the only way a queued batch reaches a sink: a lost wake-up strands it.
+// The producer ping-pongs — one batch in, wait for it to come out — with
+// successive batches on successive partitions, so nearly every enqueue
+// lands on a parked consumer. Then Stop must release all four parked
+// consumers.
+func TestConsumerWakesOnEveryEnqueue(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const partitions, rounds = 4, 20000
+			// One host per partition, taken in partition order.
+			batches := make([]*proto.RecordBatch, partitions)
+			for h, found := 0, 0; found < partitions; h++ {
+				host := fmt.Sprintf("host-%d", h)
+				if pi := PartitionKey(host, partitions); batches[pi] == nil {
+					batches[pi] = &proto.RecordBatch{Host: topo.HostID(host)}
+					found++
+				}
+			}
+			out := make(signalSink, 1)
+			p := New(Config{Partitions: partitions, Capacity: 4, Policy: Block})
+			p.SubscribeRecords(out)
+			p.Start()
+			deadline := time.NewTimer(60 * time.Second)
+			defer deadline.Stop()
+			for i := 0; i < rounds; i++ {
+				rb := batches[i%partitions]
+				p.UploadRecords(rb)
+				select {
+				case got := <-out:
+					if got != rb {
+						t.Fatalf("round %d: delivered %s's batch, want %s's", i, got.Host, rb.Host)
+					}
+				case <-deadline.C:
+					t.Fatalf("round %d: batch for partition %d never delivered (lost wake-up)", i, i%partitions)
+				}
+			}
+			for pi, pt := range p.parts {
+				for {
+					pt.mu.Lock()
+					parked := pt.waiting == 1
+					pt.mu.Unlock()
+					if parked {
+						break
+					}
+					select {
+					case <-deadline.C:
+						t.Fatalf("consumer %d never parked", pi)
+					case <-time.After(time.Millisecond):
+					}
+				}
+			}
+			stopped := make(chan struct{})
+			go func() {
+				p.Stop()
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-deadline.C:
+				t.Fatal("Stop hung on parked consumers")
+			}
+			st := p.Stats()
+			if st.Enqueued != rounds || st.Dequeued != rounds || st.Delivered != rounds {
+				t.Fatalf("enqueued %d, dequeued %d, delivered %d, want %d each",
+					st.Enqueued, st.Dequeued, st.Delivered, rounds)
+			}
+		})
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"rpingmesh/internal/pipeline"
 	"rpingmesh/internal/proto"
 	"rpingmesh/internal/rnic"
 	"rpingmesh/internal/sim"
@@ -98,6 +101,65 @@ func BenchmarkWireUpload(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/records, "allocs/record")
 			// Both directions: the record frame and its ack.
 			b.ReportMetric(float64(len(cli.f.wbuf)+headerLen+1)/records, "wireB/record")
+		})
+	}
+}
+
+// BenchmarkWireIngest is the daemon's ingest hand-off: two clients
+// upload concurrently into a server whose sink is a started 4-partition
+// Block pipeline, and the pipeline's consumers deliver to a nop record
+// sink. One op is one agentBatch upload, acknowledged. BenchmarkWireUpload
+// stops at the server's sink call and BenchmarkPipelineIngest has no
+// socket; this one covers how consumers wait for work beside the network
+// poller. GOMAXPROCS is set per sub-benchmark, so the single-P run — where
+// a consumer that yields instead of parking starves the sockets — is
+// measured on any runner.
+func BenchmarkWireIngest(b *testing.B) {
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			pipe := pipeline.New(pipeline.Config{Partitions: 4, Policy: pipeline.Block})
+			pipe.SubscribeRecords(nopSink{})
+			pipe.Start()
+			defer pipe.Stop()
+			srv, err := Listen("127.0.0.1:0", nil, pipe)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			const clients = 2
+			var clis [clients]*Client
+			var rbs [clients]*proto.RecordBatch
+			for c := range clis {
+				if clis[c], err = Dial(srv.Addr()); err != nil {
+					b.Fatal(err)
+				}
+				defer clis[c].Close()
+				rbs[c] = agentBatch()
+				rbs[c].Host = topo.HostID(fmt.Sprintf("host-3-%d", 215+c))
+				clis[c].UploadRecords(rbs[c]) // size the buffers
+			}
+			var ops atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c := range clis {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for ops.Add(1) <= int64(b.N) {
+						clis[c].UploadRecords(rbs[c])
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			for _, cli := range clis {
+				if err := cli.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rbs[0].Len()), "ns/record")
 		})
 	}
 }
