@@ -27,6 +27,9 @@ test:
 # per-device packet pools and per-agent record pools must stay owned by
 # one engine goroutine each; the sharded golden at GOMAXPROCS=8 is the
 # run where pods recycle packets onto other pods' devices concurrently.
+# The wire server calls its controller and sink from every connection at
+# once; the stalled-upload test is the one that holds a sink call open
+# while other connections' control ops run.
 race:
 	$(GO) test -race -count=2 ./internal/proto ./internal/analyzer ./internal/pipeline ./internal/tsdb ./internal/wire ./internal/alert ./internal/api ./internal/controller
 	$(GO) test -race -count=2 ./internal/fed ./internal/qos ./internal/localizer ./internal/sim ./internal/rnic ./internal/agent
@@ -34,6 +37,7 @@ race:
 	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark|TestConsoleReadsDuringCatchUp' ./internal/api
 	$(GO) test -race -count=4 -run 'TestFollower' ./internal/tsdb
 	$(GO) test -race -count=4 -run 'TestConsumerWakesOnEveryEnqueue' ./internal/pipeline
+	$(GO) test -race -count=4 -run 'TestControlOpsDuringStalledUpload' ./internal/wire
 	$(GO) test -race -count=2 -run 'TestShardedScenario|TestAPIReadersScenarioGreen' ./internal/chaos
 	$(GO) test -race -timeout 30m ./...
 
@@ -175,6 +179,8 @@ determinism:
 	GOMAXPROCS=8 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon|TestHeapMatchesOracle' ./internal/sim
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestEventCountsPinned' .
 	GOMAXPROCS=8 $(GO) test -count=1 -run 'TestEventCountsPinned' .
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestTracerMatchesOracle|TestRetraceAllocs|TestRetraceKeepsOneRoutePerEntry|TestPathSeriesResolution' ./internal/trace ./internal/agent ./internal/tsdb
+	GOMAXPROCS=8 $(GO) test -count=1 -run 'TestTracerMatchesOracle|TestRetraceAllocs|TestRetraceKeepsOneRoutePerEntry|TestPathSeriesResolution' ./internal/trace ./internal/agent ./internal/tsdb
 
 # --- static analysis ---------------------------------------------------
 

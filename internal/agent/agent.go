@@ -129,8 +129,10 @@ type Agent struct {
 	// routeIntern, so steady-state probing appends pure column values.
 	batch       *proto.RecordBatch
 	routeIntern map[routeKey]internEntry
-	// lastBatchLen pre-sizes each new batch: the previous one's length.
-	lastBatchLen int
+	// lastBatchLen and lastBatchRoutes pre-size each new batch: the
+	// previous one's record and route counts.
+	lastBatchLen    int
+	lastBatchRoutes int
 
 	paths map[pathKey]*tracedPath
 
@@ -313,8 +315,8 @@ type internEntry struct {
 }
 
 // samePath reports whether two cached path slices are the same snapshot
-// (identity, not content: a re-trace that produces an equal path keeps
-// the same backing array only if nothing changed).
+// (identity, not content: tracers return the fabric's cached route, so a
+// re-trace of an unchanged path keeps the same backing array).
 func samePath(a, b []topo.LinkID) bool {
 	if len(a) != len(b) {
 		return false
@@ -322,10 +324,11 @@ func samePath(a, b []topo.LinkID) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
+// tracedPath is the last complete trace of one tuple (nil links until
+// one completes). links is the tracer's shared read-only slice.
 type tracedPath struct {
 	links    []topo.LinkID
 	tracedAt sim.Time
-	valid    bool
 }
 
 // New creates an Agent for a host. The verbs stack provides the devices
@@ -616,20 +619,17 @@ func (a *Agent) traceOne(key pathKey, from topo.DeviceID) {
 		return
 	}
 	a.Stats.Traces++
-	res, err := a.tracer.TracePath(a.host.ID(), from, key.tuple)
-	if err != nil {
-		return
-	}
-	if res.Complete {
-		tp.links = res.Links()
-		tp.valid = true
-	}
 	// Incomplete traces keep the previous complete path (§4.2.3: in a
-	// persistent failure, replayed paths rehash and mislead).
+	// persistent failure, replayed paths rehash and mislead). A complete
+	// re-trace returns the same shared slice, so record's interned route
+	// stays valid across it.
+	if links := a.tracer.TracePath(a.host.ID(), from, key.tuple); links != nil {
+		tp.links = links
+	}
 }
 
 func (a *Agent) cachedPath(dev topo.DeviceID, tuple ecmp.FiveTuple) []topo.LinkID {
-	if tp, ok := a.paths[pathKey{dev: dev, tuple: tuple}]; ok && tp.valid {
+	if tp, ok := a.paths[pathKey{dev: dev, tuple: tuple}]; ok {
 		return tp.links
 	}
 	return nil
@@ -832,7 +832,7 @@ func (a *Agent) record(inf *inflightProbe, flags uint8, rtt, probd, respd, onewa
 	b := a.batch
 	if b == nil {
 		b = &proto.RecordBatch{}
-		b.Grow(a.lastBatchLen)
+		b.Grow(a.lastBatchLen, a.lastBatchRoutes)
 		a.batch = b
 		if a.routeIntern == nil {
 			a.routeIntern = make(map[routeKey]internEntry)
@@ -901,7 +901,7 @@ func (a *Agent) upload() {
 	b.Sent = a.eng.Now()
 	b.Seq = uint64(a.Stats.Uploads)
 	a.batch = nil
-	a.lastBatchLen = b.Len()
+	a.lastBatchLen, a.lastBatchRoutes = b.Len(), b.Routes()
 	clear(a.routeIntern) // route indexes die with the handed-off batch
 	if a.recSink != nil {
 		a.recSink.UploadRecords(b)

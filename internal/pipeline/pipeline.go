@@ -89,10 +89,12 @@ type Config struct {
 	// single downstream delivery per host (default 64).
 	MaxCoalesce int
 	// LagSample is the per-partition sampling period for delivery-lag
-	// measurement on the flat record path (default 512: every 512th
-	// enqueue is timestamped — clock reads are syscalls on some hosts, so
-	// the hot path samples sparsely). The classic Upload path always
-	// measures exactly. 1 samples every record batch too.
+	// measurement on the flat record path (default 512: a partition's
+	// first enqueue and every 512th after it are timestamped — clock
+	// reads are syscalls on some hosts, so the hot path samples sparsely,
+	// and sampling the first keeps a quiet daemon's lag visible). The
+	// classic Upload path always measures exactly. 1 samples every record
+	// batch too.
 	LagSample int
 	// Defer, when set, switches the pipeline to deferred single-threaded
 	// mode: each enqueue schedules one drain through it instead of
@@ -124,7 +126,7 @@ func (c *Config) setDefaults() {
 }
 
 // lagUnsampled marks an item whose queue residence is not measured (the
-// record hot path timestamps only every LagSample-th enqueue).
+// record hot path timestamps only a sample of its enqueues).
 const lagUnsampled = int64(-1) << 62
 
 // item is one queued upload with its ingest bookkeeping.
@@ -147,7 +149,7 @@ type partition struct {
 
 	waiting     int // consumers blocked on notEmpty
 	fullWaiting int // producers blocked on notFull
-	sinceLag    int // record enqueues since the last lag sample
+	sinceLag    int // record enqueues since the last lag sample; 0 samples the next
 	lagPending  int // queued items carrying a lag timestamp (conservative)
 
 	depth         metrics.Gauge
@@ -220,8 +222,9 @@ type Stats struct {
 	ResultsDelivered uint64
 
 	// Lag summarizes queue residence time (ns) of dequeued batches;
-	// Lag.Max is the worst observed. The flat record path samples every
-	// LagSample-th batch; the classic Upload path measures every batch.
+	// Lag.Max is the worst observed. The flat record path samples each
+	// partition's first batch and every LagSample-th after it; the
+	// classic Upload path measures every batch.
 	Lag metrics.Summary
 }
 
@@ -392,8 +395,9 @@ func (p *Pipeline) UploadRecords(rb *proto.RecordBatch) {
 }
 
 // enqueue admits one flat batch under the overload policy. exactLag
-// forces a residence timestamp (classic Upload); otherwise only every
-// LagSample-th enqueue per partition is timestamped.
+// forces a residence timestamp (classic Upload); otherwise only a
+// partition's first enqueue and every LagSample-th after it are
+// timestamped.
 func (p *Pipeline) enqueue(pi int, rb *proto.RecordBatch, exactLag bool) {
 	pt := p.parts[pi]
 	it := item{at: lagUnsampled, rb: rb}
@@ -436,10 +440,12 @@ func (p *Pipeline) enqueue(pi int, rb *proto.RecordBatch, exactLag bool) {
 		}
 	}
 	if !exactLag {
+		if pt.sinceLag == 0 {
+			it.at = p.cfg.Now()
+		}
 		pt.sinceLag++
 		if pt.sinceLag >= p.cfg.LagSample {
 			pt.sinceLag = 0
-			it.at = p.cfg.Now()
 		}
 	}
 	if it.at != lagUnsampled {

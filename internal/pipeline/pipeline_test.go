@@ -331,6 +331,20 @@ func TestStatsDepthAndLag(t *testing.T) {
 	}
 }
 
+// A quiet daemon's record path still reports queue lag: a partition's
+// first enqueue is sampled, not only every LagSample-th.
+func TestQuietRecordPathReportsLag(t *testing.T) {
+	p := New(Config{}, &collector{})
+	p.Start()
+	for i := 1; i <= 3; i++ {
+		p.UploadRecords(proto.RecordsFromBatch(batch("h", uint64(i), 2)))
+	}
+	p.Stop()
+	if st := p.Stats(); st.Dequeued != 3 || st.Lag.Count < 1 {
+		t.Fatalf("%d of 3 uploads dequeued, %d lag samples: want ≥ 1", st.Dequeued, st.Lag.Count)
+	}
+}
+
 // signalSink hands every delivered batch to the test goroutine.
 type signalSink chan *proto.RecordBatch
 

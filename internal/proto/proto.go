@@ -128,7 +128,9 @@ type UploadBatch struct {
 
 // Controller is the interface Agents use to talk to the Controller
 // (§4.1). Implemented in-memory by internal/controller and over TCP by
-// internal/wire.
+// internal/wire. An implementation served by a wire.Server is called
+// from every connection's goroutine at once, so it must be safe for
+// concurrent use.
 type Controller interface {
 	// Register reports the latest communication info of all RNICs on a
 	// host. Called at Agent start and restart.
@@ -142,7 +144,10 @@ type Controller interface {
 }
 
 // UploadSink receives Agent uploads. Implemented by the Analyzer, the
-// ingest pipeline, and the TCP transport.
+// ingest pipeline, and the TCP transport. A sink served by a wire.Server
+// is called from every connection's goroutine at once, so it must be
+// safe for concurrent use; a call may block (backpressure), which holds
+// up only the uploading connection.
 type UploadSink interface {
 	Upload(batch UploadBatch)
 }

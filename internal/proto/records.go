@@ -79,9 +79,11 @@ func (r *Records) Reset() {
 	r.oneway = r.oneway[:0]
 }
 
-// Grow makes room for n more records in every column, so the next n
-// Appends allocate nothing. Routes are not pre-sized.
-func (r *Records) Grow(n int) {
+// Grow makes room for n more records in every column and for routes
+// more interned routes, so the next n Appends and routes AddRoutes
+// allocate nothing.
+func (r *Records) Grow(n, routes int) {
+	r.routes = slices.Grow(r.routes, routes)
 	r.routeIdx = slices.Grow(r.routeIdx, n)
 	r.seq = slices.Grow(r.seq, n)
 	r.sentAt = slices.Grow(r.sentAt, n)
@@ -289,10 +291,7 @@ func (b *RecordBatch) ToUploadBatch() UploadBatch {
 // RecordBatch (one interned route per result — the compatibility path).
 func RecordsFromBatch(ub UploadBatch) *RecordBatch {
 	b := &RecordBatch{Host: ub.Host, Sent: ub.Sent, Seq: ub.Seq}
-	if n := len(ub.Results); n > 0 {
-		b.routes = make([]Route, 0, n)
-		b.Grow(n)
-	}
+	b.Grow(len(ub.Results), len(ub.Results))
 	for i := range ub.Results {
 		b.AppendResult(ub.Results[i])
 	}
@@ -301,7 +300,9 @@ func RecordsFromBatch(ub UploadBatch) *RecordBatch {
 
 // RecordSink receives flat record batches. Delivered batches are
 // borrowed: they are valid only for the duration of the call and the
-// receiver must copy out (AppendFrom) anything it keeps.
+// receiver must copy out (AppendFrom) anything it keeps. The concurrency
+// contract is UploadSink's: a sink served by a wire.Server is called
+// from every connection's goroutine at once.
 type RecordSink interface {
 	UploadRecords(b *RecordBatch)
 }

@@ -213,7 +213,9 @@ type Net struct {
 	// and removes the per-packet BFS-descent and map-hashing cost from the
 	// hot path. Guarded by an RWMutex because packets from different pod
 	// shards route concurrently inside one parallel window; cached slices
-	// are never mutated after insertion.
+	// are never mutated after insertion. PathOf hands the same slices to
+	// tracers, so a re-trace keeps its path's identity; nothing needs
+	// invalidating on a link-state change, because routing ignores it.
 	routeMu    sync.RWMutex
 	routeCache map[routeKey][]topo.LinkID
 
@@ -300,13 +302,15 @@ func (n *Net) DeviceByIP(ip netip.Addr) (*rnic.Device, bool) {
 }
 
 // PathOf returns the ECMP path a packet with the given tuple takes from
-// src to the device owning the tuple's destination IP.
+// src to the device owning the tuple's destination IP. It answers from
+// the route cache SendPacket uses, so repeated calls for one (src, tuple)
+// return the same read-only slice until the cache overflows.
 func (n *Net) PathOf(src topo.DeviceID, tuple ecmp.FiveTuple) ([]topo.LinkID, error) {
 	dst, ok := n.devByIP[tuple.DstIP]
 	if !ok {
 		return nil, fmt.Errorf("simnet: no device with IP %v", tuple.DstIP)
 	}
-	return n.topo.Route(src, dst.ID(), tuple.Hasher())
+	return n.routeFor(src, dst.ID(), tuple)
 }
 
 // engFor returns the engine owning a registered device's events, falling
@@ -324,7 +328,9 @@ func (n *Net) engFor(id topo.DeviceID) *sim.Engine {
 // the source host's clock for its token buckets).
 func (n *Net) EngineFor(id topo.DeviceID) *sim.Engine { return n.engFor(id) }
 
-// routeFor returns the (memoized) ECMP path for a packet.
+// routeFor returns the (memoized) ECMP path for a packet. Cached paths
+// are capped at their length, so a holder that appends copies instead of
+// writing into the shared array.
 func (n *Net) routeFor(src topo.DeviceID, dst topo.DeviceID, tuple ecmp.FiveTuple) ([]topo.LinkID, error) {
 	key := routeKey{src: src, tuple: tuple}
 	n.routeMu.RLock()
@@ -337,12 +343,18 @@ func (n *Net) routeFor(src topo.DeviceID, dst topo.DeviceID, tuple ecmp.FiveTupl
 	if err != nil {
 		return nil, err
 	}
+	path = path[:len(path):len(path)]
 	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if cached, ok := n.routeCache[key]; ok {
+		// Another pod shard routed the same tuple first: keep its slice,
+		// so every holder sees one identity per key.
+		return cached, nil
+	}
 	if len(n.routeCache) >= routeCacheMax {
 		clear(n.routeCache)
 	}
 	n.routeCache[key] = path
-	n.routeMu.Unlock()
 	return path, nil
 }
 
@@ -442,9 +454,6 @@ func (n *Net) queueDelay(ls *linkState) sim.Time {
 	}
 	return d
 }
-
-// QueueDelayOn reports the current queueing delay of a directed link.
-func (n *Net) QueueDelayOn(l topo.LinkID) sim.Time { return n.queueDelay(n.links[l]) }
 
 // QueueBytesOn reports the current queue depth of a directed link.
 func (n *Net) QueueBytesOn(l topo.LinkID) float64 { return n.links[l].queueBytes }

@@ -268,7 +268,7 @@ func TestFlowsShareBottleneck(t *testing.T) {
 	if r.net.QueueBytesOn(downlink) <= 0 {
 		t.Fatal("no queue on congested downlink")
 	}
-	if r.net.QueueDelayOn(downlink) <= 0 {
+	if r.net.queueDelay(r.net.links[downlink]) <= 0 {
 		t.Fatal("no queue delay on congested downlink")
 	}
 	// Probes to the congested host are slower than probes whose path

@@ -7,7 +7,7 @@
 // responses to protect the switch CPU, so hops can come back unknown when
 // tracing too fast. The PathTracer interface is deliberately decoupled
 // from the probing modules so stronger primitives (INT, ERSPAN) can slot
-// in (§7.4); an INT-style tracer that also reports per-hop queueing is
+// in (§7.4); an INT-style tracer, whose hops never rate-limit, is
 // provided.
 package trace
 
@@ -18,48 +18,21 @@ import (
 	"rpingmesh/internal/topo"
 )
 
-// Hop is one step of a traced path.
-type Hop struct {
-	// Link is the directed link entering this hop.
-	Link topo.LinkID
-	// Device is the node at the end of Link ("" when unknown).
-	Device topo.DeviceID
-	// Responded reports whether the hop answered the trace.
-	Responded bool
-	// QueueDelay is per-hop queueing, reported only by INT tracers.
-	QueueDelay sim.Time
-}
-
-// Result is a traced path.
-type Result struct {
-	Tuple ecmp.FiveTuple
-	Hops  []Hop
-	// Complete means every hop responded, so Links() is the full path.
-	Complete bool
-	// At is the virtual time the trace finished.
-	At sim.Time
-}
-
-// Links returns the directed links of the responded hops, in order.
-func (r Result) Links() []topo.LinkID {
-	out := make([]topo.LinkID, 0, len(r.Hops))
-	for _, h := range r.Hops {
-		if h.Responded {
-			out = append(out, h.Link)
-		}
-	}
-	return out
-}
-
 // PathTracer discovers the network path a tuple's packets take from a
 // source RNIC. origin names the host driving the trace: rate-limit
-// accounting and timestamps are attributed to it. It differs from src's
+// accounting is attributed to it, on its clock. It differs from src's
 // host when an Agent traces its probe's ACK tuple, whose source RNIC is
 // the remote responder — attribution to the origin keeps all tracer state
 // owned by the originating pod shard, which is what lets concurrently
 // tracing pods stay race-free and deterministic.
+//
+// TracePath returns the directed links of the path when every hop
+// answered, and nil otherwise (a hop behind a dead link, a rate-limited
+// switch, or a tuple with no route). The returned slice is the fabric's
+// cached route: read-only, and the same slice on every trace of one
+// (src, tuple), so callers can compare paths by identity.
 type PathTracer interface {
-	TracePath(origin topo.HostID, src topo.DeviceID, tuple ecmp.FiveTuple) (Result, error)
+	TracePath(origin topo.HostID, src topo.DeviceID, tuple ecmp.FiveTuple) []topo.LinkID
 }
 
 // Traceroute is the TTL-walking tracer with per-switch response rate
@@ -151,71 +124,57 @@ func (t *Traceroute) take(pod int, sw topo.DeviceID, now sim.Time) bool {
 	return true
 }
 
-// TracePath implements PathTracer. The walk ends early if a link on the
-// path is down or blocked: hops beyond the failure never answer and are
-// not reported (as real traceroute shows a trail of '*'s, which carry no
-// localization information).
-func (t *Traceroute) TracePath(origin topo.HostID, src topo.DeviceID, tuple ecmp.FiveTuple) (Result, error) {
+// TracePath implements PathTracer. It walks the cached route hop by
+// hop; the walk ends at a link that is down or blocked, since nothing
+// beyond it answers (as real traceroute shows a trail of '*'s, which
+// carry no localization information). Every switch hop before that
+// point asks its (switch, origin pod) token bucket, even after an
+// earlier hop went unanswered; the destination host answers without a
+// policer.
+func (t *Traceroute) TracePath(origin topo.HostID, src topo.DeviceID, tuple ecmp.FiveTuple) []topo.LinkID {
 	path, err := t.net.PathOf(src, tuple)
 	if err != nil {
-		return Result{}, err
+		return nil
 	}
+	tp := t.net.Topology()
 	now := originClock(t.net, origin)
 	pod := t.originPod(origin)
-	res := Result{Tuple: tuple, Complete: true, At: now}
+	complete := true
 	for _, lid := range path {
-		link := t.net.Topology().Links[lid]
 		if t.net.LinkDown(lid) {
-			// Nothing beyond a dead link responds.
-			res.Complete = false
-			break
+			return nil
 		}
-		hop := Hop{Link: lid, Device: link.To}
-		if _, isSwitch := t.net.Topology().Switches[link.To]; isSwitch {
-			hop.Responded = t.take(pod, link.To, now)
-		} else {
-			// The destination host answers without a switch CPU policer.
-			hop.Responded = true
+		to := tp.Links[lid].To
+		if _, isSwitch := tp.Switches[to]; isSwitch && !t.take(pod, to, now) {
+			complete = false
 		}
-		if !hop.Responded {
-			hop.Device = ""
-			res.Complete = false
-		}
-		res.Hops = append(res.Hops, hop)
 	}
-	return res, nil
+	if !complete {
+		return nil
+	}
+	return path
 }
 
 // INT is an in-band-telemetry-style tracer: every hop always answers (no
-// switch CPU involved) and reports its current queueing delay, which helps
-// localize congestion (§7.4).
+// switch CPU involved), so a trace is incomplete only behind a dead link
+// (§7.4).
 type INT struct {
 	net *simnet.Net
-	eng *sim.Engine
 }
 
 // NewINT builds an INT tracer.
-func NewINT(eng *sim.Engine, net *simnet.Net) *INT { return &INT{net: net, eng: eng} }
+func NewINT(_ *sim.Engine, net *simnet.Net) *INT { return &INT{net: net} }
 
 // TracePath implements PathTracer.
-func (t *INT) TracePath(origin topo.HostID, src topo.DeviceID, tuple ecmp.FiveTuple) (Result, error) {
+func (t *INT) TracePath(_ topo.HostID, src topo.DeviceID, tuple ecmp.FiveTuple) []topo.LinkID {
 	path, err := t.net.PathOf(src, tuple)
 	if err != nil {
-		return Result{}, err
+		return nil
 	}
-	res := Result{Tuple: tuple, Complete: true, At: originClock(t.net, origin)}
 	for _, lid := range path {
-		link := t.net.Topology().Links[lid]
 		if t.net.LinkDown(lid) {
-			res.Complete = false
-			break
+			return nil
 		}
-		res.Hops = append(res.Hops, Hop{
-			Link:       lid,
-			Device:     link.To,
-			Responded:  true,
-			QueueDelay: t.net.QueueDelayOn(lid),
-		})
 	}
-	return res, nil
+	return path
 }

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -110,5 +111,69 @@ func TestIngestPathBudgetInvariant(t *testing.T) {
 	db.IngestRecords(b)
 	if _, ok := db.Latest(PathSeriesName(b.Route(ri))); ok {
 		t.Fatal("timeout-only path grew a sketch series")
+	}
+}
+
+// TestPathSeriesResolution is a property test of IngestRecords' cached
+// series resolution over random routes: every route resolves to exactly
+// PathSeriesName(rt), routes with equal (src, dst, path) share one series
+// whichever slices carry the path, and the journal holds exactly the
+// entries a per-record name build would write, in the same order.
+func TestPathSeriesResolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	devs := []topo.DeviceID{"rnic-0", "rnic-1", "rnic-2", "r>1", "r"}
+	db := Open(Config{JournalCapacity: 1 << 16})
+	var want []journalEntry
+	byKey := map[pathKey]*sketchSeries{}
+	for bi := 0; bi < 40; bi++ {
+		b := pathBatch("host-"+string(rune('a'+rng.Intn(3))), sim.Time(bi)*sim.Second)
+		for r := rng.Intn(6); r >= 0; r-- {
+			path := make([]topo.LinkID, rng.Intn(4))
+			for i := range path {
+				path[i] = topo.LinkID(rng.Intn(3))
+			}
+			ri := b.AddRoute(proto.Route{SrcDev: devs[rng.Intn(len(devs))], DstDev: devs[rng.Intn(len(devs))], ProbePath: path})
+			for n := rng.Intn(4); n >= 0; n-- {
+				var fl uint8
+				if rng.Intn(5) == 0 {
+					fl = proto.RecTimeout
+				}
+				b.Append(ri, 0, b.Sent, fl, sim.Time(1+rng.Intn(1000)), 0, 0, 0)
+			}
+		}
+		for i := 0; i < b.Len(); i++ {
+			rt := b.RouteAt(i)
+			want = append(want, journalEntry{op: opCount, name: string(rt.DstDev), v: 1})
+			if !b.Timeout(i) {
+				v := float64(b.NetworkRTT(i))
+				want = append(want,
+					journalEntry{op: opSketch, name: "ingest.rtt." + string(b.Host), t: b.Sent, v: v},
+					journalEntry{op: opSketch, name: PathSeriesName(rt), t: b.Sent, v: v})
+			}
+		}
+		db.IngestRecords(b)
+
+		db.mu.Lock()
+		for ri := int32(0); ri < int32(b.Routes()); ri++ {
+			rt := b.Route(ri)
+			ns := db.pathSketchLocked(rt)
+			if name := PathSeriesName(rt); ns.name != name || db.sk[name] != ns.ss {
+				t.Fatalf("batch %d route %d resolves to %q, want %q", bi, ri, ns.name, name)
+			}
+			k := pathKey{src: rt.SrcDev, dst: rt.DstDev, hash: pathHash(rt.ProbePath)}
+			if prev, ok := byKey[k]; ok && prev != ns.ss {
+				t.Fatalf("batch %d route %d: equal (src, dst, path) resolved to two series", bi, ri)
+			}
+			byKey[k] = ns.ss
+		}
+		db.mu.Unlock()
+	}
+	if got := db.jr.n; got != len(want) {
+		t.Fatalf("journal holds %d entries, want %d", got, len(want))
+	}
+	for i, w := range want {
+		if got := db.jr.at(i); got != w {
+			t.Fatalf("journal entry %d = %+v, want %+v", i, got, w)
+		}
 	}
 }

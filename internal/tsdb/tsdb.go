@@ -31,6 +31,7 @@ import (
 	"rpingmesh/internal/metrics"
 	"rpingmesh/internal/proto"
 	"rpingmesh/internal/sim"
+	"rpingmesh/internal/topo"
 )
 
 // Config bounds the store; zero values take the defaults.
@@ -222,6 +223,13 @@ type DB struct {
 	counts   *CountMin
 	ingested uint64
 
+	// IngestRecords' series resolution: names built once per series.
+	// Never evicted, like sk itself. memo is its per-batch scratch,
+	// indexed by route.
+	hostSk map[topo.HostID]namedSketch
+	pathSk map[pathKey]namedSketch
+	memo   []namedSketch
+
 	// Append journal for Followers (nil buf when JournalCapacity == 0).
 	jr   ring[journalEntry]
 	jseq uint64
@@ -239,6 +247,8 @@ func Open(cfg Config) *DB {
 		s:      make(map[string]*series),
 		sk:     make(map[string]*sketchSeries),
 		counts: NewCountMin(4, 1024),
+		hostSk: make(map[topo.HostID]namedSketch),
+		pathSk: make(map[pathKey]namedSketch),
 	}
 	if cfg.JournalCapacity > 0 {
 		db.jr = newRing[journalEntry](cfg.JournalCapacity)
@@ -330,25 +340,73 @@ func (db *DB) AppendSketch(name string, t sim.Time, v float64) {
 // per-path tail latency stays queryable across route churn (the paper's
 // five-tuple path identity, collapsed to the traced link sequence).
 func PathSeriesName(rt *proto.Route) string {
+	return pathName(rt.SrcDev, rt.DstDev, pathHash(rt.ProbePath))
+}
+
+func pathName(src, dst topo.DeviceID, h uint64) string {
+	return "path.rtt." + string(src) + ">" + string(dst) + "." + strconv.FormatUint(h, 16)
+}
+
+// pathHash is FNV-64a over the path's links, eight bytes each.
+func pathHash(path []topo.LinkID) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
-	for _, l := range rt.ProbePath {
+	for _, l := range path {
 		v := uint64(l)
 		for s := 0; s < 64; s += 8 {
 			h ^= (v >> s) & 0xff
 			h *= prime64
 		}
 	}
-	return "path.rtt." + string(rt.SrcDev) + ">" + string(rt.DstDev) + "." + strconv.FormatUint(h, 16)
+	return h
+}
+
+// pathKey is what a per-path series name is built from.
+type pathKey struct {
+	src, dst topo.DeviceID
+	hash     uint64
+}
+
+// namedSketch is a sketch series with its name, resolved once per series
+// by IngestRecords so a batch builds no name strings.
+type namedSketch struct {
+	name string
+	ss   *sketchSeries
+}
+
+// hostSketchLocked resolves a host's "ingest.rtt.<host>" series. Caller
+// holds db.mu for writing.
+func (db *DB) hostSketchLocked(host topo.HostID) namedSketch {
+	ns, ok := db.hostSk[host]
+	if !ok {
+		name := "ingest.rtt." + string(host)
+		ns = namedSketch{name: name, ss: db.sketchLocked(name)}
+		db.hostSk[host] = ns
+	}
+	return ns
+}
+
+// pathSketchLocked resolves a route's PathSeriesName series. Caller holds
+// db.mu for writing.
+func (db *DB) pathSketchLocked(rt *proto.Route) namedSketch {
+	k := pathKey{src: rt.SrcDev, dst: rt.DstDev, hash: pathHash(rt.ProbePath)}
+	ns, ok := db.pathSk[k]
+	if !ok {
+		name := pathName(k.src, k.dst, k.hash)
+		ns = namedSketch{name: name, ss: db.sketchLocked(name)}
+		db.pathSk[k] = ns
+	}
+	return ns
 }
 
 // IngestRecords implements proto.RecordSink: the ingest spine feeds
 // delivered record batches straight into the sketch tier — one RTT
 // quantile sketch per source host ("ingest.rtt.<host>"), one per
 // interned route (PathSeriesName), and a count-min tally of records per
-// destination device. The per-path memo is indexed by the batch's route
-// table, so key construction and map lookups run once per route, not
-// once per record. The batch is borrowed; no reference is retained.
+// destination device. Series are resolved through maps keyed by host and
+// by (src, dst, path hash), once per route of the batch, so steady-state
+// ingest builds no names. The batch is borrowed; no reference is
+// retained.
 func (db *DB) IngestRecords(b *proto.RecordBatch) {
 	n := b.Len()
 	if n == 0 {
@@ -357,10 +415,11 @@ func (db *DB) IngestRecords(b *proto.RecordBatch) {
 	db.mu.Lock()
 	defer db.unlock()
 	db.ingested += uint64(n)
-	hostName := "ingest.rtt." + string(b.Host)
-	host := db.sketchLocked(hostName)
-	memo := make([]*sketchSeries, b.Routes())
-	memoName := make([]string, b.Routes())
+	host := db.hostSketchLocked(b.Host)
+	if cap(db.memo) < b.Routes() {
+		db.memo = make([]namedSketch, b.Routes())
+	}
+	memo := db.memo[:b.Routes()]
 	for i := 0; i < n; i++ {
 		rt := b.RouteAt(i)
 		dev := string(rt.DstDev)
@@ -372,20 +431,17 @@ func (db *DB) IngestRecords(b *proto.RecordBatch) {
 		if b.Timeout(i) {
 			continue
 		}
-		ri := b.RouteIndex(i)
-		ss := memo[ri]
-		if ss == nil {
-			pname := PathSeriesName(rt)
-			ss = db.sketchLocked(pname)
-			memo[ri] = ss
-			memoName[ri] = pname
+		p := &memo[b.RouteIndex(i)]
+		if p.ss == nil {
+			*p = db.pathSketchLocked(rt)
 		}
 		v := float64(b.NetworkRTT(i))
-		host.add(&db.cfg, b.Sent, v)
-		ss.add(&db.cfg, b.Sent, v)
-		db.journal(opSketch, hostName, b.Sent, v)
-		db.journal(opSketch, memoName[ri], b.Sent, v)
+		host.ss.add(&db.cfg, b.Sent, v)
+		p.ss.add(&db.cfg, b.Sent, v)
+		db.journal(opSketch, host.name, b.Sent, v)
+		db.journal(opSketch, p.name, b.Sent, v)
 	}
+	clear(memo) // route indexes are per batch: the next one resolves afresh
 }
 
 // UploadRecords implements proto.RecordSink so an *DB can subscribe to

@@ -22,7 +22,9 @@ const (
 )
 
 // FedBackend is the server-side hook for federation ops — implemented by
-// the live daemon's coordination loop around a fed.Replica.
+// the live daemon's coordination loop around a fed.Replica. The Server
+// serializes its calls under one lock, so an implementation needs no
+// locking against other connections' fed ops.
 type FedBackend interface {
 	// FedHello introduces a peer (first contact or rejoin).
 	FedHello(h proto.Hello) proto.HelloReply
@@ -44,6 +46,8 @@ func (s *Server) SetFedBackend(fb FedBackend) {
 }
 
 func (s *Server) dispatchFed(req *request) response {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.fed == nil {
 		return response{Error: "no federation backend"}
 	}

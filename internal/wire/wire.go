@@ -180,7 +180,9 @@ func (f *framer) read(r io.Reader) (kind byte, body []byte, err error) {
 }
 
 // Server exposes a Controller and an UploadSink over TCP. Either may be
-// nil, in which case the corresponding ops fail.
+// nil, in which case the corresponding ops fail. Each connection is
+// served by its own goroutine, so both are called concurrently and must
+// be safe for concurrent use.
 type Server struct {
 	ln      net.Listener
 	ctrl    proto.Controller
@@ -188,7 +190,11 @@ type Server struct {
 	recSink proto.RecordSink // sink's flat-path surface, if it has one
 	fed     FedBackend
 
-	mu     sync.Mutex // serializes backend access
+	// mu serializes the FedBackend, the one backend without locking of
+	// its own. Controller and sink calls run concurrently, one per
+	// connection, and hold no server lock: an upload stalled in its sink
+	// (a full Block pipeline) holds up only its own connection.
+	mu     sync.Mutex
 	connWG sync.WaitGroup
 	closed chan struct{}
 
@@ -335,8 +341,6 @@ func (s *Server) upload(body []byte) (status byte) {
 	if err := rb.UnmarshalBinary(body); err != nil {
 		return ackBadBatch
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.recSink != nil {
 		s.recSink.UploadRecords(rb)
 	} else {
@@ -346,8 +350,6 @@ func (s *Server) upload(body []byte) (status byte) {
 }
 
 func (s *Server) dispatch(req *request) response {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch req.Op {
 	case opRegister:
 		if s.ctrl == nil {

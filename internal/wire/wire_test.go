@@ -406,3 +406,65 @@ func TestClosedClientStaysClosed(t *testing.T) {
 		t.Fatal("closed client reports no error")
 	}
 }
+
+// stallSink blocks every upload until release is closed, the way a Block
+// pipeline with a full partition holds its producer.
+type stallSink struct {
+	entered chan struct{} // receives once per upload that reached the sink
+	release chan struct{}
+}
+
+func (s stallSink) Upload(proto.UploadBatch) {
+	s.entered <- struct{}{}
+	<-s.release
+}
+
+// TestControlOpsDuringStalledUpload: an upload stalled in its sink holds
+// up its own connection only. Another agent's pinglist request still
+// answers.
+func TestControlOpsDuringStalledUpload(t *testing.T) {
+	ctrl, tp := testBackend(t)
+	sink := stallSink{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv, uploader := startServer(t, ctrl, sink)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(sink.release)
+		}
+	}
+	defer release() // before the Cleanups close the server
+
+	infos := allInfos(tp)
+	uploader.Register(infos)
+	if err := uploader.Err(); err != nil {
+		t.Fatal(err)
+	}
+	stalled := make(chan error, 1)
+	go func() {
+		uploader.Upload(proto.UploadBatch{Host: infos[0].Host, Seq: 1})
+		stalled <- uploader.Err()
+	}()
+	<-sink.entered
+
+	agent, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	answered := make(chan int, 1)
+	go func() { answered <- len(agent.Pinglists(infos[1].Host)) }()
+	select {
+	case n := <-answered:
+		if err := agent.Err(); err != nil || n == 0 {
+			t.Fatalf("pinglists during a stalled upload: %d lists, err %v", n, err)
+		}
+	case <-time.After(time.Second):
+		release() // unblocks the request, so agent.Close can return
+		t.Fatal("pinglists request still unanswered 1 s into another connection's stalled upload")
+	}
+	release()
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalled upload: %v", err)
+	}
+}
