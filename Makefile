@@ -87,10 +87,10 @@ soak:
 	$(GO) run ./cmd/rpmesh-soak -scenarios 2 -budget 120s -api-readers 1000
 
 # Deterministic 3-node federation acceptance check: inject a fabric
-# fault every node sees, assert one quorum-confirmed incident opens and
-# resolves on every replica, verify bit-identical convergence.
+# fault every node sees, assert exactly one quorum-confirmed incident
+# opens and resolves on every replica, verify bit-identical convergence.
 fed-smoke:
-	$(GO) run ./cmd/rpmesh-controller -fed-smoke
+	$(GO) test -count=1 -v -run '^TestFedQuorumOpensAndResolves$$' ./internal/fed
 
 # Prove the invariant suite has teeth: -tags chaosbreak deliberately
 # stops counting DropOldest sheds (internal/pipeline/accounting_break.go)
@@ -185,8 +185,13 @@ determinism:
 # --- static analysis ---------------------------------------------------
 
 # staticcheck and govulncheck run when available (CI installs them; dev
-# machines without network skip gracefully).
+# machines without network skip gracefully). The production daemon must
+# not link the simulated fabric: no rpmesh-controller flag may construct
+# a simulator.
 lint: vet
+	@bad=$$($(GO) list -deps ./cmd/rpmesh-controller | \
+		grep -xE 'rpingmesh/internal/(core|fed|faultgen|simnet|agent|service|qos|trace|verbs)'); \
+	if [ -n "$$bad" ]; then echo "lint: rpmesh-controller links the simulator:"; echo "$$bad"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else echo "lint: staticcheck not installed, skipping"; fi

@@ -12,8 +12,6 @@
 // sharding the data-parallel stages across -workers goroutines (the
 // multicore win the deterministic simulations deliberately forgo).
 //
-// Usage:
-//
 // With -serve, the daemon additionally exposes the ops-console HTTP API
 // (internal/api): incidents folded by the alert engine from every
 // analyzer window, window reports by sequence number, tsdb range and
@@ -114,18 +112,6 @@ func (t analyzerTier) Upload(b proto.UploadBatch) {
 	t.an.Upload(b)
 }
 
-func parsePolicy(s string) (pipeline.Policy, error) {
-	switch s {
-	case "block":
-		return pipeline.Block, nil
-	case "drop-oldest":
-		return pipeline.DropOldest, nil
-	case "drop-newest":
-		return pipeline.DropNewest, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (want block, drop-oldest or drop-newest)", s)
-}
-
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7201", "TCP listen address")
 	pods := flag.Int("pods", 2, "CLOS pods")
@@ -141,35 +127,15 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "analyzer shard workers per window (1 = serial)")
 	anWindow := flag.Duration("analyzer-window", 20*time.Second, "analyzer attribution window")
 	localizer := flag.String("localizer", "", "switch localizer: alg1 (Algorithm 1 whole-vote, default) or 007 (democratic per-flow voting)")
-	qosClasses := flag.Int("qos-classes", 0, "with -fed-nodes: run each node's simulated fabric with N per-priority traffic classes (0/1: single-class)")
 	serve := flag.String("serve", "", "ops-console HTTP listen address (e.g. :8080); empty disables")
 	tenants := flag.String("tenants", "", "probe tenants as name:weight[:maxpps],... (e.g. gold:4,silver:2,bronze:1); empty disables tenant scheduling")
 	tenantPPS := flag.Float64("tenant-pps", 0, "total probe capacity (packets/s) shared by -tenants via deficit round robin; 0 = uncontended")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (stopped on shutdown)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on shutdown")
-	fedNodes := flag.Int("fed-nodes", 0, "run an in-process federated control plane with N nodes (quorum incident confirmation); 0 disables")
-	fedQuorum := flag.Int("fed-quorum", 0, "votes needed to confirm an incident (0: majority of -fed-nodes)")
-	fedSeed := flag.Int64("fed-seed", 1, "seed for the federated deployment's simulated fabric")
-	fedWindows := flag.Int("fed-windows", 0, "with -fed-nodes, stop after N coordination windows (0: run until interrupted)")
-	fedSmoke := flag.Bool("fed-smoke", false, "run the deterministic 3-node federation smoke check and exit")
 	flag.Parse()
 
-	switch *localizer {
-	case "", analyzer.LocalizerAlg1, analyzer.Localizer007:
-	default:
-		log.Fatalf("unknown -localizer %q (want alg1 or 007)", *localizer)
-	}
-
-	// Federation modes run their own loop; dispatch before the daemon path.
-	if *fedSmoke {
-		os.Exit(runFedSmoke())
-	}
-	if *fedNodes > 1 {
-		os.Exit(runFedMode(fedOptions{
-			nodes: *fedNodes, quorum: *fedQuorum, seed: *fedSeed,
-			windows: *fedWindows, window: *anWindow, serve: *serve,
-			localizer: *localizer, qosClasses: *qosClasses,
-		}))
+	if err := analyzer.CheckLocalizer(*localizer); err != nil {
+		log.Fatalf("-localizer: %v", err)
 	}
 
 	if *cpuProfile != "" {
@@ -199,9 +165,9 @@ func main() {
 		}()
 	}
 
-	pol, err := parsePolicy(*policy)
+	pol, err := pipeline.ParsePolicy(*policy)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-policy: %v", err)
 	}
 	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: *pods, ToRsPerPod: *tors, AggsPerPod: *aggs, Spines: *spines,

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"rpingmesh/internal/analyzer"
 	"rpingmesh/internal/chaos"
 	"rpingmesh/internal/pipeline"
 )
@@ -87,9 +88,9 @@ func main() {
 	}
 	var fixedPolicy pipeline.Policy
 	if *polFlag != "" {
-		fixedPolicy, err = chaos.ParsePolicy(*polFlag)
+		fixedPolicy, err = pipeline.ParsePolicy(*polFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(os.Stderr, "-policy:", err)
 			os.Exit(2)
 		}
 	}
@@ -98,8 +99,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *localizer != "" && *localizer != "alg1" && *localizer != "007" {
-		fmt.Fprintf(os.Stderr, "unknown localizer %q (want alg1,007)\n", *localizer)
+	if err := analyzer.CheckLocalizer(*localizer); err != nil {
+		fmt.Fprintln(os.Stderr, "-localizer:", err)
 		os.Exit(2)
 	}
 	// Flags the user pinned apply to every scenario; the rest rotate so a

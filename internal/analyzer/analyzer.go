@@ -275,7 +275,7 @@ func (c *Config) setDefaults() {
 	if c.RetainWindows <= 0 {
 		c.RetainWindows = 8192
 	}
-	if c.Localizer == "" || c.Localizer == "alg1" {
+	if c.Localizer == "" {
 		c.Localizer = LocalizerAlg1
 	}
 }

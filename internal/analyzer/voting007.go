@@ -1,6 +1,8 @@
 package analyzer
 
 import (
+	"fmt"
+
 	"rpingmesh/internal/localizer"
 	"rpingmesh/internal/proto"
 	"rpingmesh/internal/topo"
@@ -13,6 +15,16 @@ const (
 	// Localizer007 is 007's democratic per-flow voting.
 	Localizer007 = "007"
 )
+
+// CheckLocalizer reports whether name selects a switch localizer: "" (the
+// default, Algorithm 1), LocalizerAlg1 or Localizer007.
+func CheckLocalizer(name string) error {
+	switch name {
+	case "", LocalizerAlg1, Localizer007:
+		return nil
+	}
+	return fmt.Errorf("unknown localizer %q (want %s or %s)", name, LocalizerAlg1, Localizer007)
+}
 
 // StageSwitchVote007 replaces switchVote when Config.Localizer is "007".
 const StageSwitchVote007 = "switchVote007"

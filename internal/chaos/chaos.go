@@ -67,7 +67,7 @@ const (
 	NodePartition
 	// CoordinatorKill takes the current federation leader's coordination
 	// process down mid-window, forcing a failover, and revives it later
-	// (failback once IncidentSync catches it up). FedNodes > 1 only.
+	// (failback once a round-log replay catches it up). FedNodes > 1 only.
 	CoordinatorKill
 	// VoteDelay withholds one federation node's vote deliveries while
 	// letting everything else flow — the arrival-interleaving knob the
@@ -294,17 +294,6 @@ func (sc Scenario) ReproArgs() string {
 		args += fmt.Sprintf(" -api-readers %d", sc.APIReaders)
 	}
 	return args
-}
-
-// ParsePolicy parses a pipeline overload policy name as rendered by
-// pipeline.Policy.String (block, drop-oldest, drop-newest).
-func ParsePolicy(s string) (pipeline.Policy, error) {
-	for _, p := range []pipeline.Policy{pipeline.Block, pipeline.DropOldest, pipeline.DropNewest} {
-		if p.String() == strings.TrimSpace(s) {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("chaos: unknown policy %q (want block,drop-oldest,drop-newest)", s)
 }
 
 // Violation is one invariant breach, pinned to the analysis window that

@@ -207,18 +207,6 @@ func TestParseKinds(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []pipeline.Policy{pipeline.Block, pipeline.DropOldest, pipeline.DropNewest} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("lossy"); err == nil {
-		t.Fatal("ParsePolicy accepted an unknown policy")
-	}
-}
-
 // TestReproArgs: the repro line round-trips the scenario's knobs.
 func TestReproArgs(t *testing.T) {
 	sc := Scenario{Seed: 9, Wire: true, NetworkFaults: true, Policy: pipeline.DropOldest, APIReaders: 64}

@@ -201,6 +201,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("core: Config.Topology is required")
 	}
+	if cfg.Analyzer.Localizer == "" {
+		cfg.Analyzer.Localizer = cfg.Localizer
+	}
+	if err := analyzer.CheckLocalizer(cfg.Analyzer.Localizer); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if cfg.MaxClockOffset == 0 {
 		cfg.MaxClockOffset = 10 * sim.Second
 	}
@@ -261,9 +267,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg.Controller.TenantCapacityPPS = cfg.TenantCapacityPPS
 	}
 	ctrl := controller.New(eng, tp, cfg.Controller)
-	if cfg.Analyzer.Localizer == "" {
-		cfg.Analyzer.Localizer = cfg.Localizer
-	}
 	an := analyzer.New(eng, tp, ctrl, cfg.Analyzer)
 	for _, s := range cfg.AnalyzerStages {
 		an.AppendStage(s)

@@ -30,6 +30,31 @@ func TestClusterRequiresTopology(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsUnknownLocalizer: a misspelt localizer name is an
+// error, not a silent fallback to Algorithm 1.
+func TestClusterRejectsUnknownLocalizer(t *testing.T) {
+	tp, err := topo.BuildClos(topo.ClosConfig{
+		Pods: 1, ToRsPerPod: 2, AggsPerPod: 1, Spines: 1,
+		HostsPerToR: 1, RNICsPerHost: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Topology: tp, Localizer: "oo7"},
+		{Topology: tp, Analyzer: analyzer.Config{Localizer: "oo7"}},
+	} {
+		if _, err := NewCluster(cfg); err == nil {
+			t.Fatalf("NewCluster accepted localizer %q", "oo7")
+		}
+	}
+	for _, name := range []string{"", analyzer.LocalizerAlg1, analyzer.Localizer007} {
+		if _, err := NewCluster(Config{Topology: tp, Localizer: name}); err != nil {
+			t.Fatalf("NewCluster(Localizer %q): %v", name, err)
+		}
+	}
+}
+
 func TestHealthyClusterBaseline(t *testing.T) {
 	c := smallCluster(t, 1)
 	c.StartAgents()

@@ -323,7 +323,7 @@ func (d *Deploy) coordinate(w int) StepInfo {
 	}
 
 	// Phase 4 — reconciliation: committing leaders replay their round-log
-	// suffix to reachable peers that fell behind (IncidentSync).
+	// suffix to reachable peers that fell behind.
 	for i := 0; i < n; i++ {
 		if !willCommit[i] {
 			continue
@@ -352,8 +352,8 @@ func (d *Deploy) coordinate(w int) StepInfo {
 	}
 
 	// Phase 5 — vote delivery. A node sends its outbox to its believed
-	// leader only when that leader will actually commit this step (the
-	// wire protocol's VoteAck would otherwise tell it to keep buffering).
+	// leader only when that leader will actually commit this step (any
+	// other leader would refuse the batch and leave it buffered).
 	delivered := make(map[int][]proto.VoteBatch, 1)
 	for i := 0; i < n; i++ {
 		if d.down(i) || d.delayed[i] {

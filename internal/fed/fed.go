@@ -43,7 +43,7 @@
 // keeps buffering votes (bounded by the overlap horizon — older votes
 // could no longer count toward any quorum and are expired, counted, not
 // silently dropped). On rejoin the leader replays the missed round
-// suffix (IncidentSync) before accepting the node's buffered votes, so
+// suffix before accepting the node's buffered votes, so
 // reconciliation is ordered and deterministic.
 package fed
 

@@ -111,6 +111,9 @@ func requireConverged(t *testing.T, d *Deploy) {
 	}
 }
 
+// TestFedQuorumOpensAndResolves: a fault every vantage point sees opens
+// exactly one quorum-confirmed incident, which resolves exactly once
+// after the fault clears, and every replica converges bit-identically.
 func TestFedQuorumOpensAndResolves(t *testing.T) {
 	d := newTestDeploy(t, 1)
 	watchSteps(t, d)
@@ -119,16 +122,11 @@ func TestFedQuorumOpensAndResolves(t *testing.T) {
 	injs := corrupt(t, d, link, 0.5, 0, 1, 2)
 	d.Run(6)
 
-	entity := fmt.Sprintf("link:%d", int(link))
-	opened := false
-	for _, line := range d.Node(0).Replica().Timeline() {
-		if strings.Contains(line, "open") && strings.Contains(line, entity) {
-			opened = true
-		}
-	}
-	if !opened {
-		t.Fatalf("no global incident for %s after quorum fault; timeline:\n%s",
-			entity, strings.Join(d.Node(0).Replica().Timeline(), "\n"))
+	key := fmt.Sprintf("link:%d/switch-link", int(link))
+	tl := d.Node(0).Replica().Timeline()
+	if n := countEvents(tl, "open", key); n != 1 {
+		t.Fatalf("after fault: %d incident opens for %s, want exactly 1; timeline:\n%s",
+			n, key, strings.Join(tl, "\n"))
 	}
 
 	for _, in := range injs {
@@ -137,17 +135,24 @@ func TestFedQuorumOpensAndResolves(t *testing.T) {
 	// VoteOverlap keeps stale votes eligible for 4 windows, then the
 	// engine needs ResolveAfter clean windows: give it room.
 	d.Run(10)
-	resolved := false
-	for _, line := range d.Node(0).Replica().Timeline() {
-		if strings.Contains(line, "resolve") && strings.Contains(line, entity) {
-			resolved = true
-		}
-	}
-	if !resolved {
-		t.Fatalf("incident for %s never resolved after fault cleared; timeline:\n%s",
-			entity, strings.Join(d.Node(0).Replica().Timeline(), "\n"))
+	tl = d.Node(0).Replica().Timeline()
+	if opens, resolves := countEvents(tl, "open", key), countEvents(tl, "resolve", key); opens != 1 || resolves != 1 {
+		t.Fatalf("after clear: %d opens and %d resolves for %s, want exactly 1 each; timeline:\n%s",
+			opens, resolves, key, strings.Join(tl, "\n"))
 	}
 	requireConverged(t, d)
+}
+
+// countEvents counts timeline lines carrying both the event type and the
+// incident key.
+func countEvents(timeline []string, event, key string) int {
+	n := 0
+	for _, l := range timeline {
+		if strings.Contains(l, " "+event+" ") && strings.Contains(l, key) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestFedSingleVantageClamp: an entity only one node's probes can see —

@@ -286,7 +286,7 @@ func (n *Node) onHeartbeat(hb proto.Heartbeat, w int) {
 }
 
 // resetPeers clears the peer table — a restarted coordination process
-// relearns the federation from fresh heartbeats (Hello semantics).
+// relearns the federation from fresh heartbeats.
 func (n *Node) resetPeers() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -312,7 +312,7 @@ func (n *Node) aliveLocked(w int) []int {
 // electLeader recomputes this node's leader view at global window w:
 // the lowest-indexed live node whose replication progress matches the
 // best progress among live nodes. A rejoining node with a stale log is
-// therefore ineligible until IncidentSync catches it up — the rule that
+// therefore ineligible until a round-log replay catches it up — the rule that
 // makes failback lossless — and every connected node computes the same
 // answer from the same heartbeats.
 func (n *Node) electLeader(w int) int {
@@ -371,7 +371,7 @@ func (n *Node) hasFreshMajority(w int) bool {
 }
 
 // notePeerSeq records replication progress learned outside heartbeats
-// (after pushing an IncidentSync or broadcasting a round).
+// (after replaying a round-log suffix or broadcasting a round).
 func (n *Node) notePeerSeq(j int, seq uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -137,8 +137,8 @@ func (r *Replica) Seen(node, window int) bool {
 	return r.seen[[2]int{node, window}]
 }
 
-// RoundsSince returns the committed rounds with Seq > seq, for
-// IncidentSync catch-up. Nil if the replica has nothing newer or the
+// RoundsSince returns the committed rounds with Seq > seq, for a lagging
+// replica's catch-up. Nil if the replica has nothing newer or the
 // suffix was trimmed past the request.
 func (r *Replica) RoundsSince(seq uint64) []proto.Round {
 	if seq >= r.applied || len(r.log) == 0 {

@@ -37,6 +37,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,17 @@ func (p Policy) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParsePolicy parses a policy name as String renders it, ignoring
+// surrounding whitespace.
+func ParsePolicy(s string) (Policy, error) {
+	for _, p := range []Policy{Block, DropOldest, DropNewest} {
+		if p.String() == strings.TrimSpace(s) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want block, drop-oldest or drop-newest)", s)
 }
 
 // Config parameterizes the pipeline; zero values take sane defaults.

@@ -59,6 +59,19 @@ func onePartitionCfg(capacity int, pol Policy) Config {
 	return Config{Partitions: 1, Capacity: capacity, Policy: pol}
 }
 
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []Policy{Block, DropOldest, DropNewest} {
+		for _, s := range []string{p.String(), " " + p.String() + "\n"} {
+			if got, err := ParsePolicy(s); err != nil || got != p {
+				t.Fatalf("ParsePolicy(%q) = %v, %v", s, got, err)
+			}
+		}
+	}
+	if _, err := ParsePolicy("lossy"); err == nil {
+		t.Fatal("ParsePolicy accepted an unknown policy")
+	}
+}
+
 // DropOldest: filling a partition past capacity sheds exactly the
 // overflow, oldest first, with exact batch and result accounting.
 func TestOverflowDropOldest(t *testing.T) {

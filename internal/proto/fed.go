@@ -1,21 +1,20 @@
 // Federation messages: the inter-node protocol of the internal/fed
 // coordination tier. N peer controller/analyzer nodes — one per pod or
-// region, each watching its own probe shard — exchange these over
-// internal/wire (or the in-memory bus of deterministic simulations) to
-// fold per-node problem votes into globally confirmed incidents.
+// region, each watching its own probe shard — exchange these in process
+// (fed.Deploy) to fold per-node problem votes into globally confirmed
+// incidents.
 //
-// The protocol is deliberately small: Hello introduces a node, Heartbeat
-// carries liveness + replication progress (leader election and failover
-// are derived from heartbeats alone), VoteBatch carries one node's
-// problem votes and coverage claims for one analysis window, and
-// IncidentSync replays committed vote rounds to a node that rejoined
-// after a partition.
+// The protocol is deliberately small: Heartbeat carries liveness +
+// replication progress (leader election and failover are derived from
+// heartbeats alone), VoteBatch carries one node's problem votes and
+// coverage claims for one analysis window, and Rounds are the committed
+// log a node that rejoined after a partition replays to catch up.
 package proto
 
 import "rpingmesh/internal/sim"
 
-// FedVersion is the federation protocol version, carried in Hello and on
-// every vote so replicas can refuse records from a future protocol.
+// FedVersion is the federation protocol version, carried on every vote
+// batch so replicas can refuse records from a future protocol.
 const FedVersion = 1
 
 // ProblemVote is one node's claim that one entity (an alert.Key entity
@@ -70,23 +69,6 @@ type VoteBatch struct {
 	Sig uint64 `json:"sig"`
 }
 
-// Hello introduces a node to a peer (first contact and rejoin).
-type Hello struct {
-	Node       int    `json:"node"`
-	Proto      int    `json:"proto"`
-	AppliedSeq uint64 `json:"applied_seq"`
-}
-
-// HelloReply answers a Hello with the receiver's view of the federation.
-type HelloReply struct {
-	OK         bool   `json:"ok"`
-	Node       int    `json:"node"`
-	Proto      int    `json:"proto"`
-	Leader     int    `json:"leader"`
-	AppliedSeq uint64 `json:"applied_seq"`
-	Reason     string `json:"reason,omitempty"`
-}
-
 // Heartbeat is the periodic liveness + progress beacon. AppliedSeq is
 // how far the sender has applied the committed round log; Leader is who
 // the sender currently follows. Leader election needs nothing else:
@@ -110,21 +92,4 @@ type Round struct {
 	PrevDigest uint64      `json:"prev_digest"`
 	Digest     uint64      `json:"digest"`
 	Batches    []VoteBatch `json:"batches,omitempty"`
-}
-
-// VoteAck answers a VoteBatch delivery. A false Accepted with a Reason
-// (not leader, no quorum, stale window) tells the sender to keep the
-// batch buffered and retry after the next election.
-type VoteAck struct {
-	Accepted   bool   `json:"accepted"`
-	Reason     string `json:"reason,omitempty"`
-	Leader     int    `json:"leader"`
-	AppliedSeq uint64 `json:"applied_seq"`
-}
-
-// IncidentSync replays a suffix of the committed round log to a node
-// whose AppliedSeq fell behind (rejoin after partition, fresh start).
-type IncidentSync struct {
-	From   int     `json:"from"`
-	Rounds []Round `json:"rounds"`
 }

@@ -8,7 +8,7 @@
 //
 //	kind        payload                                  reply
 //	1 control   JSON request (register, pinglists,       control frame, JSON
-//	            lookup, fed.*)                           response
+//	            lookup)                                  response
 //	2 upload    proto.RecordBatch's flat binary layout   ack frame
 //	3 ack       one status byte (0 ok, 1 no sink,        — (reply only)
 //	            2 undecodable batch)
@@ -85,12 +85,6 @@ type request struct {
 	Register []proto.RNICInfo `json:"register,omitempty"`
 	Host     topo.HostID      `json:"host,omitempty"`
 	IP       netip.Addr       `json:"ip,omitzero"`
-
-	// Federation ops (fed.* — see fed.go).
-	Hello     *proto.Hello     `json:"hello,omitempty"`
-	Heartbeat *proto.Heartbeat `json:"heartbeat,omitempty"`
-	Votes     *proto.VoteBatch `json:"votes,omitempty"`
-	SinceSeq  uint64           `json:"since_seq,omitempty"`
 }
 
 type response struct {
@@ -99,11 +93,6 @@ type response struct {
 	Pinglists []proto.Pinglist `json:"pinglists,omitempty"`
 	Info      *proto.RNICInfo  `json:"info,omitempty"`
 	Found     bool             `json:"found,omitempty"`
-
-	// Federation replies.
-	HelloReply *proto.HelloReply   `json:"hello_reply,omitempty"`
-	Ack        *proto.VoteAck      `json:"ack,omitempty"`
-	Sync       *proto.IncidentSync `json:"sync,omitempty"`
 }
 
 // framer holds one connection's reusable frame buffers. A frame is
@@ -182,19 +171,15 @@ func (f *framer) read(r io.Reader) (kind byte, body []byte, err error) {
 // Server exposes a Controller and an UploadSink over TCP. Either may be
 // nil, in which case the corresponding ops fail. Each connection is
 // served by its own goroutine, so both are called concurrently and must
-// be safe for concurrent use.
+// be safe for concurrent use. No server lock is held across either call:
+// an upload stalled in its sink (a full Block pipeline) holds up only its
+// own connection.
 type Server struct {
 	ln      net.Listener
 	ctrl    proto.Controller
 	sink    proto.UploadSink
 	recSink proto.RecordSink // sink's flat-path surface, if it has one
-	fed     FedBackend
 
-	// mu serializes the FedBackend, the one backend without locking of
-	// its own. Controller and sink calls run concurrently, one per
-	// connection, and hold no server lock: an upload stalled in its sink
-	// (a full Block pipeline) holds up only its own connection.
-	mu     sync.Mutex
 	connWG sync.WaitGroup
 	closed chan struct{}
 
@@ -368,8 +353,6 @@ func (s *Server) dispatch(req *request) response {
 		}
 		info, found := s.ctrl.Lookup(req.IP)
 		return response{OK: true, Info: &info, Found: found}
-	case opFedHello, opFedHeartbeat, opFedVotes, opFedSync:
-		return s.dispatchFed(req)
 	default:
 		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}

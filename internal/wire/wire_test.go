@@ -116,6 +116,32 @@ func TestPinglistsOverTCP(t *testing.T) {
 	}
 }
 
+// TestUnknownOpKeepsConnection: an op the server does not serve is
+// refused with an application error, not a transport failure, and the
+// same client's next request still succeeds.
+func TestUnknownOpKeepsConnection(t *testing.T) {
+	ctrl, tp := testBackend(t)
+	_, cli := startServer(t, ctrl, nil)
+	cli.Register(allInfos(tp))
+	conn := func() net.Conn {
+		cli.mu.Lock()
+		defer cli.mu.Unlock()
+		return cli.conn
+	}
+	before := conn()
+
+	_, err := cli.roundTrip(&request{Op: "fed.hello"})
+	if err == nil || !strings.Contains(err.Error(), `unknown op "fed.hello"`) {
+		t.Fatalf("unknown op: err = %v, want an unknown-op refusal", err)
+	}
+	if got := cli.Pinglists(tp.AllHosts()[0]); len(got) == 0 {
+		t.Fatalf("pinglists after the refusal: %v (err %v)", got, cli.Err())
+	}
+	if conn() != before {
+		t.Fatal("the refusal cost the client its connection")
+	}
+}
+
 func TestUploadOverTCP(t *testing.T) {
 	ctrl, tp := testBackend(t)
 	sink := &memSink{}
