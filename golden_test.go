@@ -245,15 +245,21 @@ func loadGolden(t testing.TB) map[string]string {
 	return out
 }
 
+// golden007 runs each scenario under 007's democratic voting, sharded,
+// so the goldens pin both localizers and tell them apart.
+var golden007 = analyzer.Config{Localizer: analyzer.Localizer007, Workers: 4}
+
 // TestGoldenEquivalence proves the staged pipeline reproduces the
 // pre-refactor cascade exactly: the serial digest of each scenario must
-// match the recorded golden value.
+// match the recorded golden value, and so must the sharded run and the
+// run under the 007 localizer (recorded under "<scenario>/007").
 func TestGoldenEquivalence(t *testing.T) {
 	if *updateGolden {
 		digests := map[string]string{}
 		for _, sc := range goldenScenarios {
 			digests[sc.name] = digestReports(sc.run(t, analyzer.Config{}))
-			t.Logf("%s: %s", sc.name, digests[sc.name])
+			digests[sc.name+"/007"] = digestReports(sc.run(t, golden007))
+			t.Logf("%s: %s  007: %s", sc.name, digests[sc.name], digests[sc.name+"/007"])
 		}
 		data, _ := json.MarshalIndent(digests, "", "  ")
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -277,6 +283,12 @@ func TestGoldenEquivalence(t *testing.T) {
 			got := digestReports(sc.run(t, analyzer.Config{Workers: 4}))
 			if got != golden[sc.name] {
 				t.Fatalf("parallel (Workers=4) report sequence diverged from serial golden\n got %s\nwant %s", got, golden[sc.name])
+			}
+		})
+		t.Run(sc.name+"/007", func(t *testing.T) {
+			got := digestReports(sc.run(t, golden007))
+			if got != golden[sc.name+"/007"] {
+				t.Fatalf("007 localizer report sequence diverged from golden\n got %s\nwant %s", got, golden[sc.name+"/007"])
 			}
 		})
 	}
