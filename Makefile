@@ -32,7 +32,7 @@ test:
 # while other connections' control ops run.
 race:
 	$(GO) test -race -count=2 ./internal/proto ./internal/analyzer ./internal/pipeline ./internal/tsdb ./internal/wire ./internal/alert ./internal/api ./internal/controller
-	$(GO) test -race -count=2 ./internal/fed ./internal/qos ./internal/localizer ./internal/sim ./internal/rnic ./internal/agent
+	$(GO) test -race -count=2 ./internal/fed ./internal/qos ./internal/sim ./internal/rnic ./internal/agent
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestShardedGoldenEquivalence' .
 	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark|TestConsoleReadsDuringCatchUp' ./internal/api
 	$(GO) test -race -count=4 -run 'TestFollower' ./internal/tsdb
@@ -113,7 +113,7 @@ bakeoff:
 # consumers at GOMAXPROCS 1 and 2, and one console /range read (256 and 2048
 # points: the same allocs/op at both is the gated property).
 BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup|BenchmarkWireUpload|BenchmarkWireIngest|BenchmarkConsoleRange)$$
-BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/localizer ./internal/api ./internal/tsdb ./internal/wire
+BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/api ./internal/tsdb ./internal/wire
 
 bench-json:
 	$(GO) build -o bin/benchdiff ./cmd/benchdiff
@@ -173,8 +173,8 @@ determinism:
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'FuzzReadFrame|FuzzUploadFrame|TestUploadDeliversWhatWasSent' ./internal/wire
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery|FuzzParseTenants' ./internal/api ./internal/controller
 	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestEncodersMatchEncodingJSON|FuzzAppendPoint|FuzzSeriesQuery|FuzzParseTenants' ./internal/api ./internal/controller
-	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
-	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/localizer ./internal/chaos
+	GOMAXPROCS=1 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/analyzer ./internal/chaos
+	GOMAXPROCS=8 $(GO) test -count=2 -run 'TestQoSPauseStormClassSelective|TestQoSDisabledMatchesLegacy|TestShardedTallyMatchesSerial|TestQoSFaultDeterminism' ./internal/simnet ./internal/analyzer ./internal/chaos
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon|TestHeapMatchesOracle' ./internal/sim
 	GOMAXPROCS=8 $(GO) test -count=1 -run 'TestElisionEquivalence|TestPairLookaheadExtendsSoloHorizon|TestHeapMatchesOracle' ./internal/sim
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestEventCountsPinned' .

@@ -149,13 +149,14 @@ func main() {
 		}
 		// Every fourth scenario runs a 4-class lossless fabric with one
 		// QoS fault family (rotating through pfc-storm, dscp-mismap,
-		// cnp-starve, incast) and alternates the switch localizer, so PFC
-		// pause propagation and 007 voting soak continuously.
+		// cnp-starve, incast) and alternates the switch localizer, starting
+		// with 007, so PFC pause propagation and 007 voting soak
+		// continuously (scenario 2 is the first of them).
 		if i%4 == 2 {
 			faults := chaos.QoSFaultKinds()
 			sc.QoSClasses = 4
 			sc.QoSFault = faults[(i/4)%len(faults)]
-			if (i/4)%2 == 1 {
+			if (i/4)%2 == 0 {
 				sc.Localizer = "007"
 			}
 		}
@@ -212,9 +213,9 @@ func main() {
 		qosNote := ""
 		if sc.QoSClasses > 1 {
 			qosNote = fmt.Sprintf(" qos=%d/%s", sc.QoSClasses, sc.QoSFault)
-			if sc.Localizer != "" {
-				qosNote += "/" + sc.Localizer
-			}
+		}
+		if sc.Localizer != "" {
+			qosNote += " localizer=" + sc.Localizer
 		}
 		epochNote := ""
 		if sc.Shards > 1 && sc.ShardEpoch > 0 {

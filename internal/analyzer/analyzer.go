@@ -4,11 +4,9 @@
 // the cluster and the service network, and assesses each problem's impact
 // on the service (P0/P1/P2 or "the network is innocent").
 //
-// The attribution cascade is an explicit staged pipeline: each window is
-// a WindowState threaded through an ordered []Stage (see state.go for
-// the stage list and its ordering contract). Attribution order is data —
-// extensions like the watchdog's decision tree append or insert stages
-// instead of editing the core. The paper's order:
+// The attribution cascade is a fixed sequence of stages over one window's
+// records (Tick runs them in order; state.go holds the per-record causes
+// they share). The paper's order:
 //
 //  1. Timeouts toward hosts that stopped uploading → host down (not a
 //     network problem).
@@ -20,7 +18,8 @@
 //  4. RNICs with >10 % ToR-mesh timeouts → RNIC problems; their timeouts
 //     are quarantined from switch localization for 60 s.
 //  5. Everything left → switch network problems → Algorithm 1 voting over
-//     probe + ACK paths.
+//     probe + ACK paths, or 007's democratic weight on the same vote
+//     (Config.Localizer).
 //
 // With Config.Workers > 1 the data-parallel stages (ToR-mesh RNIC
 // statistics, Algorithm 1 vote counting, SLA aggregation) shard across a
@@ -235,12 +234,12 @@ type Config struct {
 	// — seeded simulations keep the default while the live deployment
 	// (cmd/rpmesh-controller) sets it to the core count.
 	Workers int
-	// Localizer selects the switch-localization algorithm: "" or "alg1"
-	// runs the paper's Algorithm 1 (whole-vote binary tomography);
-	// "007" swaps in 007's democratic per-flow voting
-	// (internal/localizer), where each bad path splits one vote equally
-	// over its links. Both emit identical problem shapes, so every
-	// downstream stage and consumer is localizer-agnostic.
+	// Localizer selects the switch-localization vote weight: "" or
+	// "alg1" runs the paper's Algorithm 1 (a whole vote per link a bad
+	// path crosses); "007" runs 007's democratic per-flow voting, where
+	// each bad path splits one vote equally over its links. Both emit
+	// identical problem shapes, so every downstream stage and consumer
+	// is localizer-agnostic.
 	Localizer string
 }
 
@@ -318,9 +317,9 @@ type Analyzer struct {
 	// Baseline learned from calm history. Tick-only.
 	rttBaselineP99 float64
 
-	// stages is the attribution pipeline Tick threads each window
-	// through; defaultStages() unless extended.
-	stages []Stage
+	// linkWeight is the switch vote's per-path link weight, picked by
+	// Config.Localizer.
+	linkWeight func([]topo.LinkID) int64
 
 	// accPool holds the per-group SLA scratch accumulators reused across
 	// windows (keyed "cluster", "service", "tor:<id>"). Tick-only.
@@ -356,8 +355,11 @@ func New(eng *sim.Engine, tp *topo.Topology, qpns QPNSource, cfg Config) *Analyz
 		serviceLinks: make(map[topo.LinkID]sim.Time),
 		serviceHosts: make(map[topo.HostID]sim.Time),
 		accPool:      make(map[string]*slaAcc),
+		linkWeight:   wholeVote,
 	}
-	a.stages = a.defaultStages()
+	if cfg.Localizer == Localizer007 {
+		a.linkWeight = democraticVote
+	}
 	return a
 }
 
@@ -581,15 +583,26 @@ func (a *Analyzer) Tick() WindowReport {
 		}
 	}
 
-	st := &WindowState{
+	// The attribution cascade (§4.3), in the paper's order. Each stage
+	// reads the causes earlier stages settled and adds its own.
+	// cpuNoiseFilter runs after rnicDetect because it withdraws RNIC
+	// problems the detector just reported (§6 describes the filter as a
+	// post-deployment refinement of the RNIC analysis).
+	st := &windowState{
 		Now:        now,
 		Recs:       recs,
 		LastUpload: lastUpload,
 		Report:     &rep,
 	}
-	for _, s := range a.stages {
-		s.Run(st)
-	}
+	a.stageClassify(st)
+	a.stageHostDownFilter(st)
+	a.stageQPNResetFilter(st)
+	a.stageRNICDetect(st)
+	a.stageCPUNoiseFilter(st)
+	a.stageSwitchVote(st)
+	a.stageSLAAggregate(st)
+	a.stageBottleneckDetect(st)
+	a.stageImpactAssess(st)
 
 	a.mu.Lock()
 	a.windows = append(a.windows, rep)

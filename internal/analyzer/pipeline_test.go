@@ -33,62 +33,6 @@ func mixedWindow(h *harness) []proto.ProbeResult {
 	return results
 }
 
-func TestDefaultStageOrder(t *testing.T) {
-	h := newHarness(t, Config{})
-	want := []string{
-		StageClassify, StageHostDownFilter, StageQPNResetFilter,
-		StageRNICDetect, StageCPUNoiseFilter, StageSwitchVote,
-		StageSLAAggregate, StageBottleneckDetect, StageImpactAssess,
-	}
-	got := h.an.Stages()
-	if len(got) != len(want) {
-		t.Fatalf("stages = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stage[%d] = %s, want %s (full: %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-func TestAppendAndInsertStage(t *testing.T) {
-	h := newHarness(t, Config{})
-	var sawProblems, appendRan int
-	h.an.AppendStage(NewStage("tap", func(st *WindowState) {
-		appendRan++
-		sawProblems = len(st.Report.Problems)
-	}))
-	if err := h.an.InsertStageAfter(StageClassify, NewStage("afterClassify", func(st *WindowState) {
-		// Runs before any filtering: every timeout is still CauseSwitch.
-		for i, n := 0, st.Recs.Len(); i < n; i++ {
-			if st.Recs.Timeout(i) && st.Causes[i] != CauseSwitch {
-				t.Errorf("record %d already refined to %v before filters", i, st.Causes[i])
-			}
-		}
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.an.InsertStageAfter("no-such-stage", NewStage("x", func(*WindowState) {})); err == nil {
-		t.Fatal("InsertStageAfter accepted an unknown anchor")
-	}
-	names := h.an.Stages()
-	if names[1] != "afterClassify" || names[len(names)-1] != "tap" {
-		t.Fatalf("pipeline shape wrong: %v", names)
-	}
-
-	h.uploadAll(mixedWindow(h))
-	rep := h.tick()
-	if appendRan != 1 {
-		t.Fatalf("appended stage ran %d times", appendRan)
-	}
-	if sawProblems != len(rep.Problems) {
-		t.Fatalf("appended stage saw %d problems, report has %d", sawProblems, len(rep.Problems))
-	}
-	if len(rep.Problems) == 0 {
-		t.Fatal("mixed window produced no problems")
-	}
-}
-
 // encodeAll canonically renders a report sequence for equality checks.
 func encodeAll(reports []WindowReport) string {
 	out := ""
@@ -186,8 +130,8 @@ func TestTieOrderingSorted(t *testing.T) {
 	}
 	// Sharded counting must agree with serial exactly.
 	for _, workers := range []int{2, 3, 5} {
-		serial := countLinkVotes(paths, 1)
-		sharded := countLinkVotes(paths, workers)
+		serial := countLinkVotes(paths, 1, wholeVote)
+		sharded := countLinkVotes(paths, workers, wholeVote)
 		if len(serial) != len(sharded) {
 			t.Fatalf("workers=%d: %v vs %v", workers, sharded, serial)
 		}

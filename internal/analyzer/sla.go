@@ -82,7 +82,7 @@ func (g *slaAcc) finish() {
 // in order. Every group's distributions therefore observe the identical
 // ordered sample stream as the serial pass — reservoir subsampling state
 // and all — so the report is bit-identical for any worker count.
-func (a *Analyzer) stageSLAAggregate(st *WindowState) {
+func (a *Analyzer) stageSLAAggregate(st *windowState) {
 	rep := st.Report
 
 	// Discover this window's per-ToR groups up front so scratch

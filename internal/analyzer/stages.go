@@ -12,7 +12,7 @@ import (
 // stageClassify seeds the attribution slice: every timeout is
 // provisionally a switch problem until an earlier-in-the-cascade cause
 // claims it.
-func (a *Analyzer) stageClassify(st *WindowState) {
+func (a *Analyzer) stageClassify(st *windowState) {
 	n := st.Recs.Len()
 	st.Causes = make([]Cause, n)
 	for i := 0; i < n; i++ {
@@ -27,7 +27,7 @@ func (a *Analyzer) stageClassify(st *WindowState) {
 // of down hosts is stashed on the state; rnicDetect emits the
 // ProblemHostDown entries so they follow the RNIC problems in the
 // report, as the pre-pipeline Analyzer ordered them.
-func (a *Analyzer) stageHostDownFilter(st *WindowState) {
+func (a *Analyzer) stageHostDownFilter(st *windowState) {
 	down := make(map[topo.HostID]bool)
 	for i, n := 0, st.Recs.Len(); i < n; i++ {
 		if st.Causes[i] != CauseSwitch {
@@ -46,7 +46,7 @@ func (a *Analyzer) stageHostDownFilter(st *WindowState) {
 
 // stageQPNResetFilter is cascade step 2: a timeout whose target QPN no
 // longer matches the registry is restart noise (§4.3.1).
-func (a *Analyzer) stageQPNResetFilter(st *WindowState) {
+func (a *Analyzer) stageQPNResetFilter(st *windowState) {
 	for i, n := 0, st.Recs.Len(); i < n; i++ {
 		if st.Causes[i] != CauseSwitch {
 			continue
@@ -66,7 +66,7 @@ type rnicStat struct{ total, timeout int }
 // Shards cover disjoint contiguous index ranges of the record columns
 // and the integer counts merge commutatively, so the merged map is
 // identical to the serial scan for any worker count.
-func (a *Analyzer) rnicStats(st *WindowState, excluded map[topo.DeviceID]bool) map[topo.DeviceID]*rnicStat {
+func (a *Analyzer) rnicStats(st *windowState, excluded map[topo.DeviceID]bool) map[topo.DeviceID]*rnicStat {
 	w := a.workers()
 	locals := make([]map[topo.DeviceID]*rnicStat, w)
 	n := st.Recs.Len()
@@ -125,7 +125,7 @@ func (a *Analyzer) rnicStats(st *WindowState, excluded map[topo.DeviceID]bool) m
 // RNICs are judged. Otherwise a single down RNIC, whose own outbound
 // ToR-mesh probes all time out, would push every ToR neighbour over the
 // 10 % threshold ("introduce minimal uncertainty", §4.3.2).
-func (a *Analyzer) stageRNICDetect(st *WindowState) {
+func (a *Analyzer) stageRNICDetect(st *windowState) {
 	now, rep := st.Now, st.Report
 	excluded := make(map[topo.DeviceID]bool)
 	detected := make(map[topo.DeviceID]int) // dev -> timeout evidence
@@ -203,7 +203,7 @@ func (a *Analyzer) stageRNICDetect(st *WindowState) {
 // host answering with abnormally high responder delay, indicate the
 // service occupying the Agent's CPU — not RNIC failures. Matching
 // ProblemRNIC reports are withdrawn and their timeouts reclassified.
-func (a *Analyzer) stageCPUNoiseFilter(st *WindowState) {
+func (a *Analyzer) stageCPUNoiseFilter(st *windowState) {
 	if a.DisableCPUNoiseFilter {
 		return
 	}
@@ -286,7 +286,7 @@ func (a *Analyzer) devHost(dev topo.DeviceID) topo.HostID {
 // #12) and per-RNIC network RTT inflation (PFC storms from intra-host
 // bottlenecks #13/#14, congested links #10/#11), plus the service-level
 // tail-RTT signal used in Fig 8 (right).
-func (a *Analyzer) stageBottleneckDetect(st *WindowState) {
+func (a *Analyzer) stageBottleneckDetect(st *windowState) {
 	rep := st.Report
 	const minSamples = 20
 	delayByHost := make(map[topo.HostID]*metrics.Distribution)
@@ -374,7 +374,7 @@ func (a *Analyzer) stageBottleneckDetect(st *WindowState) {
 
 // stageImpactAssess assigns P0/P1/P2 (§4.3.4) and decides network
 // innocence.
-func (a *Analyzer) stageImpactAssess(st *WindowState) {
+func (a *Analyzer) stageImpactAssess(st *windowState) {
 	rep := st.Report
 	hasP0orP1 := false
 	for i := range rep.Problems {

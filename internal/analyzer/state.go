@@ -1,7 +1,6 @@
 package analyzer
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -49,11 +48,11 @@ func (c Cause) String() string {
 	}
 }
 
-// WindowState is the unit of work one analysis window's stages share.
+// windowState is the unit of work one analysis window's stages share.
 // Now and Recs are immutable inputs — stages must not modify records.
 // Causes and Report accumulate: each stage reads what earlier stages
 // established and adds its own attribution or problems.
-type WindowState struct {
+type windowState struct {
 	// Now is the instant the window closed.
 	Now sim.Time
 	// Recs holds every probe record uploaded during the window, in the
@@ -72,92 +71,6 @@ type WindowState struct {
 	// hostDownFilter fills it; rnicDetect emits the ProblemHostDown
 	// entries (after the RNIC problems, preserving the report order).
 	downHosts []topo.HostID
-}
-
-// Stage is one step of the Analyzer's attribution pipeline. The paper's
-// cascade is expressed as an ordered list of these values, so extensions
-// (the watchdog's decision tree, future INT-based localizers) slot in
-// with AppendStage / InsertStageAfter instead of editing the core.
-type Stage interface {
-	Name() string
-	Run(st *WindowState)
-}
-
-// Names of the built-in stages, in their pipeline order. The order is
-// the paper's attribution cascade (§4.3) with one implementation note:
-// cpuNoiseFilter runs after rnicDetect because it withdraws RNIC
-// problems the detector just reported (§6 describes the filter as a
-// post-deployment refinement of the RNIC analysis).
-const (
-	StageClassify         = "classify"
-	StageHostDownFilter   = "hostDownFilter"
-	StageQPNResetFilter   = "qpnResetFilter"
-	StageRNICDetect       = "rnicDetect"
-	StageCPUNoiseFilter   = "cpuNoiseFilter"
-	StageSwitchVote       = "switchVote"
-	StageSLAAggregate     = "slaAggregate"
-	StageBottleneckDetect = "bottleneckDetect"
-	StageImpactAssess     = "impactAssess"
-)
-
-// funcStage adapts a plain function to the Stage interface.
-type funcStage struct {
-	name string
-	fn   func(*WindowState)
-}
-
-func (s funcStage) Name() string        { return s.name }
-func (s funcStage) Run(st *WindowState) { s.fn(st) }
-
-// NewStage wraps a function as a named Stage.
-func NewStage(name string, fn func(*WindowState)) Stage {
-	return funcStage{name: name, fn: fn}
-}
-
-// defaultStages builds the paper's cascade over this Analyzer. The
-// switch-localization slot is the localizer plug-point: Config.Localizer
-// picks Algorithm 1 (default) or 007's democratic voting.
-func (a *Analyzer) defaultStages() []Stage {
-	vote := NewStage(StageSwitchVote, a.stageSwitchVote)
-	if a.cfg.Localizer == Localizer007 {
-		vote = NewStage(StageSwitchVote007, a.stage007Vote)
-	}
-	return []Stage{
-		NewStage(StageClassify, a.stageClassify),
-		NewStage(StageHostDownFilter, a.stageHostDownFilter),
-		NewStage(StageQPNResetFilter, a.stageQPNResetFilter),
-		NewStage(StageRNICDetect, a.stageRNICDetect),
-		NewStage(StageCPUNoiseFilter, a.stageCPUNoiseFilter),
-		vote,
-		NewStage(StageSLAAggregate, a.stageSLAAggregate),
-		NewStage(StageBottleneckDetect, a.stageBottleneckDetect),
-		NewStage(StageImpactAssess, a.stageImpactAssess),
-	}
-}
-
-// Stages returns the pipeline's stage names in execution order.
-func (a *Analyzer) Stages() []string {
-	out := make([]string, len(a.stages))
-	for i, s := range a.stages {
-		out[i] = s.Name()
-	}
-	return out
-}
-
-// AppendStage adds a stage to the end of the pipeline (after
-// impactAssess and everything appended before it). Not safe to call
-// concurrently with Tick.
-func (a *Analyzer) AppendStage(s Stage) { a.stages = append(a.stages, s) }
-
-// InsertStageAfter inserts a stage immediately after the named one.
-func (a *Analyzer) InsertStageAfter(after string, s Stage) error {
-	for i, cur := range a.stages {
-		if cur.Name() == after {
-			a.stages = append(a.stages[:i+1], append([]Stage{s}, a.stages[i+1:]...)...)
-			return nil
-		}
-	}
-	return fmt.Errorf("analyzer: no stage named %q", after)
 }
 
 // workers reports the shard count for the parallelizable stages.

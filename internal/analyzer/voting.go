@@ -1,7 +1,9 @@
 package analyzer
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"rpingmesh/internal/proto"
 	"rpingmesh/internal/topo"
@@ -12,6 +14,51 @@ import (
 // anomalous probes (and of their ACKs), count how many anomalous paths
 // cross each link, and the links with the highest count are the most
 // suspicious.
+//
+// 007 (Arzani et al., NSDI 2018 — PAPERS.md) is the same vote with a
+// different weight: each bad flow splits one vote equally over its path,
+// so a flow crossing h links adds 1/h to each. Long paths then implicate
+// their links more weakly than short ones, compensating for crossing
+// more links by construction. Config.Localizer picks the weight; the
+// tally, the top-k and the problems emitted are shared.
+
+// Localizer names accepted by Config.Localizer.
+const (
+	// LocalizerAlg1 is the paper's Algorithm 1 (whole-vote tomography).
+	LocalizerAlg1 = "alg1"
+	// Localizer007 is 007's democratic per-flow voting.
+	Localizer007 = "007"
+)
+
+// CheckLocalizer reports whether name selects a switch localizer: "" (the
+// default, Algorithm 1), LocalizerAlg1 or Localizer007.
+func CheckLocalizer(name string) error {
+	switch name {
+	case "", LocalizerAlg1, Localizer007:
+		return nil
+	}
+	return fmt.Errorf("unknown localizer %q (want %s or %s)", name, LocalizerAlg1, Localizer007)
+}
+
+// voteScale is the fixed-point vote unit: link scores count in
+// 1/voteScale votes, and 720720 = lcm(1..16) makes 007's 1/h share exact
+// for any path of at most 16 links (probe+ACK tops out at 12 in our Clos
+// fabrics; longer paths truncate). Integer scores merge commutatively
+// across worker shards, so every tally is bit-identical for any worker
+// count.
+const voteScale = 720720
+
+// wholeVote is Algorithm 1's weight: a whole vote for every link a path
+// crosses.
+func wholeVote([]topo.LinkID) int64 { return voteScale }
+
+// democraticVote is 007's weight: one vote split over the path.
+func democraticVote(path []topo.LinkID) int64 { return voteScale / int64(len(path)) }
+
+// evidence converts a link score to whole votes, rounded up so a link
+// implicated by even a sliver of a vote never reports zero evidence. For
+// Algorithm 1 it is exactly the number of paths crossing the link.
+func evidence(score int64) int { return int((score + voteScale - 1) / voteScale) }
 
 // LinkVote is one voting outcome.
 type LinkVote struct {
@@ -29,118 +76,109 @@ type SwitchVote struct {
 // and returns every link sharing the highest vote count (ties are all
 // suspicious), sorted by link ID for determinism.
 func DetectAbnormalLinks(paths [][]topo.LinkID) []LinkVote {
-	return topVotes(countLinkVotes(paths, 1))
-}
-
-// countLinkVotes tallies Algorithm 1's per-link votes, sharded over
-// workers when asked. Shards take disjoint path subsets and the integer
-// votes merge commutatively, so the tally is identical to a serial count
-// for any worker count.
-func countLinkVotes(paths [][]topo.LinkID, workers int) map[topo.LinkID]int {
-	locals := make([]map[topo.LinkID]int, workers)
-	runSharded(workers, func(w int) {
-		m := make(map[topo.LinkID]int)
-		for i := w; i < len(paths); i += workers {
-			for _, link := range paths[i] {
-				m[link]++
-			}
-		}
-		locals[w] = m
-	})
-	merged := locals[0]
-	for _, m := range locals[1:] {
-		for l, v := range m {
-			merged[l] += v
-		}
+	links, score := top(countLinkVotes(paths, 1, wholeVote))
+	var out []LinkVote
+	for _, l := range links {
+		out = append(out, LinkVote{Link: l, Votes: evidence(score)})
 	}
-	return merged
+	return out
 }
 
 // DetectAbnormalSwitches is the footnote-5 variant: replacing "link" with
 // "switch" localizes the device instead of the cable. Each path votes for
 // every switch it traverses (at most once per path).
 func DetectAbnormalSwitches(tp *topo.Topology, paths [][]topo.LinkID) []SwitchVote {
-	return topSwitchVotes(countSwitchVotes(tp, paths, 1))
+	return switchVotes(top(countSwitchVotes(tp, paths, 1)))
 }
 
-// countSwitchVotes tallies footnote 5's per-switch votes (each path votes
-// once per switch), sharded like countLinkVotes.
-func countSwitchVotes(tp *topo.Topology, paths [][]topo.LinkID, workers int) map[topo.DeviceID]int {
-	locals := make([]map[topo.DeviceID]int, workers)
+// tally sums the votes every path casts, sharded over workers: shard w
+// takes paths w, w+workers, … and the integer scores merge
+// commutatively, so the tally is identical to a serial count for any
+// worker count.
+func tally[K comparable](paths [][]topo.LinkID, workers int, vote func(path []topo.LinkID, scores map[K]int64)) map[K]int64 {
+	locals := make([]map[K]int64, workers)
 	runSharded(workers, func(w int) {
-		m := make(map[topo.DeviceID]int)
+		m := make(map[K]int64)
 		for i := w; i < len(paths); i += workers {
-			seen := make(map[topo.DeviceID]bool)
-			for _, link := range paths[i] {
-				if int(link) < 0 || int(link) >= len(tp.Links) {
-					continue
-				}
-				for _, end := range []topo.DeviceID{tp.Links[link].From, tp.Links[link].To} {
-					if _, isSwitch := tp.Switches[end]; isSwitch && !seen[end] {
-						seen[end] = true
-						m[end]++
-					}
-				}
-			}
+			vote(paths[i], m)
 		}
 		locals[w] = m
 	})
 	merged := locals[0]
 	for _, m := range locals[1:] {
-		for sw, v := range m {
-			merged[sw] += v
+		for k, v := range m {
+			merged[k] += v
 		}
 	}
 	return merged
 }
 
-func topVotes(votes map[topo.LinkID]int) []LinkVote {
-	if len(votes) == 0 {
-		return nil
-	}
-	max := 0
-	for _, v := range votes {
-		if v > max {
-			max = v
+// countLinkVotes tallies per-link scores in 1/voteScale units, each path
+// giving weight(path) to every link it crosses.
+func countLinkVotes(paths [][]topo.LinkID, workers int, weight func([]topo.LinkID) int64) map[topo.LinkID]int64 {
+	return tally(paths, workers, func(path []topo.LinkID, m map[topo.LinkID]int64) {
+		if len(path) == 0 {
+			return
 		}
-	}
-	var out []LinkVote
-	for l, v := range votes {
-		if v == max {
-			out = append(out, LinkVote{Link: l, Votes: v})
+		w := weight(path)
+		for _, link := range path {
+			m[link] += w
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Link < out[j].Link })
-	return out
+	})
 }
 
-func topSwitchVotes(votes map[topo.DeviceID]int) []SwitchVote {
-	if len(votes) == 0 {
-		return nil
-	}
-	max := 0
-	for _, v := range votes {
+// countSwitchVotes tallies footnote 5's per-switch votes in whole votes:
+// each path votes once for every switch it traverses.
+func countSwitchVotes(tp *topo.Topology, paths [][]topo.LinkID, workers int) map[topo.DeviceID]int64 {
+	return tally(paths, workers, func(path []topo.LinkID, m map[topo.DeviceID]int64) {
+		seen := make(map[topo.DeviceID]bool)
+		for _, link := range path {
+			if int(link) < 0 || int(link) >= len(tp.Links) {
+				continue
+			}
+			for _, end := range []topo.DeviceID{tp.Links[link].From, tp.Links[link].To} {
+				if _, isSwitch := tp.Switches[end]; isSwitch && !seen[end] {
+					seen[end] = true
+					m[end]++
+				}
+			}
+		}
+	})
+}
+
+// top returns every key sharing the highest score (ties are all
+// suspicious), sorted for determinism, and that score.
+func top[K cmp.Ordered](scores map[K]int64) ([]K, int64) {
+	var max int64
+	for _, v := range scores {
 		if v > max {
 			max = v
 		}
 	}
+	var keys []K
+	for k, v := range scores {
+		if v == max {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys, max
+}
+
+func switchVotes(switches []topo.DeviceID, votes int64) []SwitchVote {
 	var out []SwitchVote
-	for sw, v := range votes {
-		if v == max {
-			out = append(out, SwitchVote{Switch: sw, Votes: v})
-		}
+	for _, sw := range switches {
+		out = append(out, SwitchVote{Switch: sw, Votes: int(votes)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Switch < out[j].Switch })
 	return out
 }
 
-// stageSwitchVote runs Algorithm 1 over the remaining anomalous probes'
-// paths — Cluster Monitoring and Service Tracing analyzed separately
-// (§4.3.3).
-func (a *Analyzer) stageSwitchVote(st *WindowState) {
+// stageSwitchVote localizes the remaining anomalous probes' paths with
+// the configured vote weight — Cluster Monitoring and Service Tracing
+// analyzed separately (§4.3.3).
+func (a *Analyzer) stageSwitchVote(st *windowState) {
 	rep := st.Report
 	var clusterPaths, servicePaths [][]topo.LinkID
-	clusterN, serviceN := 0, 0
 	for i, n := 0, st.Recs.Len(); i < n; i++ {
 		if st.Causes[i] != CauseSwitch {
 			continue
@@ -152,23 +190,17 @@ func (a *Analyzer) stageSwitchVote(st *WindowState) {
 		}
 		if rt.Kind == proto.ServiceTracing {
 			servicePaths = append(servicePaths, path)
-			serviceN++
 		} else {
 			clusterPaths = append(clusterPaths, path)
-			clusterN++
 		}
 	}
-	emit := func(paths [][]topo.LinkID, n int, fromService bool) {
-		if n < a.cfg.MinSwitchEvidence {
+	emit := func(paths [][]topo.LinkID, fromService bool) {
+		if len(paths) < a.cfg.MinSwitchEvidence {
 			return
 		}
-		votes := topVotes(countLinkVotes(paths, a.workers()))
-		if len(votes) == 0 {
+		links, score := top(countLinkVotes(paths, a.workers(), a.linkWeight))
+		if len(links) == 0 {
 			return
-		}
-		links := make([]topo.LinkID, len(votes))
-		for i, lv := range votes {
-			links[i] = lv.Link
 		}
 		// Footnote 4: if the suspicion concentrates on one RNIC's host
 		// cable, this is an RNIC problem (RNIC / its cable / the ToR port
@@ -178,7 +210,7 @@ func (a *Analyzer) stageSwitchVote(st *WindowState) {
 				Kind:               ProblemRNIC,
 				Device:             dev,
 				Host:               a.devHost(dev),
-				Evidence:           votes[0].Votes,
+				Evidence:           evidence(score),
 				FromServiceTracing: fromService,
 				Window:             rep.Index,
 			})
@@ -188,18 +220,19 @@ func (a *Analyzer) stageSwitchVote(st *WindowState) {
 			Kind:               ProblemSwitchLink,
 			Link:               links[0],
 			Links:              links,
-			Evidence:           votes[0].Votes,
+			Evidence:           evidence(score),
 			FromServiceTracing: fromService,
 			Window:             rep.Index,
 		})
 	}
-	emit(clusterPaths, clusterN, false)
-	emit(servicePaths, serviceN, true)
+	emit(clusterPaths, false)
+	emit(servicePaths, true)
 
-	// Footnote 5: the switch-level vote over all anomalous paths.
-	if clusterN+serviceN >= a.cfg.MinSwitchEvidence {
+	// Footnote 5: the switch-level vote over all anomalous paths stays
+	// the paper's whole-vote count under either link weight.
+	if len(clusterPaths)+len(servicePaths) >= a.cfg.MinSwitchEvidence {
 		all := append(append([][]topo.LinkID{}, clusterPaths...), servicePaths...)
-		rep.SuspiciousSwitches = topSwitchVotes(countSwitchVotes(a.tp, all, a.workers()))
+		rep.SuspiciousSwitches = switchVotes(top(countSwitchVotes(a.tp, all, a.workers())))
 	}
 }
 

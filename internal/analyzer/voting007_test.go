@@ -1,34 +1,12 @@
 package analyzer
 
 import (
+	"reflect"
 	"testing"
 
 	"rpingmesh/internal/proto"
 	"rpingmesh/internal/topo"
 )
-
-func TestLocalizer007StagePlugged(t *testing.T) {
-	h := newHarness(t, Config{Localizer: Localizer007})
-	saw007, sawAlg1 := false, false
-	for _, name := range h.an.Stages() {
-		switch name {
-		case StageSwitchVote007:
-			saw007 = true
-		case StageSwitchVote:
-			sawAlg1 = true
-		}
-	}
-	if !saw007 || sawAlg1 {
-		t.Fatalf("007 pipeline shape wrong: %v", h.an.Stages())
-	}
-	// The default keeps Algorithm 1.
-	def := newHarness(t, Config{})
-	for _, name := range def.an.Stages() {
-		if name == StageSwitchVote007 {
-			t.Fatalf("007 stage present without opting in: %v", def.an.Stages())
-		}
-	}
-}
 
 func TestLocalizer007FindsSharedLink(t *testing.T) {
 	// When every anomalous path has the same length, 007 and Algorithm 1
@@ -116,5 +94,102 @@ func TestLocalizer007DemocraticWeighting(t *testing.T) {
 	if culprit.Link != linkA {
 		t.Fatalf("007 blamed %v, want the short-path link %v (problems %+v)",
 			culprit.Link, linkA, rep.Problems)
+	}
+}
+
+func TestDemocraticShares(t *testing.T) {
+	// One 2-hop bad flow and one 4-hop bad flow sharing link 1: the
+	// shared link gets 1/2 + 1/4 = 3/4 of a vote and wins over every
+	// exclusively-crossed link.
+	paths := [][]topo.LinkID{
+		{1, 2},
+		{1, 3, 4, 5},
+	}
+	scores := countLinkVotes(paths, 1, democraticVote)
+	if got := scores[1]; got != voteScale/2+voteScale/4 {
+		t.Fatalf("shared link score = %d, want %d", got, voteScale/2+voteScale/4)
+	}
+	if got := scores[2]; got != voteScale/2 {
+		t.Fatalf("link 2 score = %d", got)
+	}
+	links, score := top(scores)
+	if len(links) != 1 || links[0] != 1 {
+		t.Fatalf("top = %v, want link 1 alone", links)
+	}
+	if evidence(score) != 1 {
+		t.Fatalf("evidence = %d, want 1 (3/4 rounds up)", evidence(score))
+	}
+}
+
+func TestLongPathsImplicateWeakly(t *testing.T) {
+	// Algorithm 1 ties links 10 and 20: each is crossed by two bad
+	// paths. 007 blames the short paths' link because each short flow
+	// commits half a vote to it while the long flows dilute theirs.
+	paths := [][]topo.LinkID{
+		{10, 11}, {10, 12},
+		{20, 21, 22, 23}, {20, 24, 25, 26},
+	}
+	if links, _ := top(countLinkVotes(paths, 1, democraticVote)); len(links) != 1 || links[0] != 10 {
+		t.Fatalf("007 top = %v, want link 10 alone", links)
+	}
+	if links, score := top(countLinkVotes(paths, 1, wholeVote)); len(links) != 2 || evidence(score) != 2 {
+		t.Fatalf("alg1 top = %v (%d votes), want links 10 and 20 at 2", links, evidence(score))
+	}
+}
+
+func TestShardedTallyMatchesSerial(t *testing.T) {
+	var paths [][]topo.LinkID
+	for i := 0; i < 500; i++ {
+		p := make([]topo.LinkID, 1+i%12)
+		for j := range p {
+			p[j] = topo.LinkID((i*7 + j*3) % 64)
+		}
+		paths = append(paths, p)
+	}
+	for name, weight := range map[string]func([]topo.LinkID) int64{"alg1": wholeVote, "007": democraticVote} {
+		serial := countLinkVotes(paths, 1, weight)
+		for _, workers := range []int{2, 4, 8} {
+			if got := countLinkVotes(paths, workers, weight); !reflect.DeepEqual(serial, got) {
+				t.Fatalf("%s: workers=%d tally diverged from serial", name, workers)
+			}
+		}
+	}
+}
+
+func TestEmptyAndDegenerate(t *testing.T) {
+	for _, weight := range []func([]topo.LinkID) int64{wholeVote, democraticVote} {
+		if links, _ := top(countLinkVotes(nil, 4, weight)); links != nil {
+			t.Fatal("no paths must yield no suspects")
+		}
+		if got := countLinkVotes([][]topo.LinkID{{}, {}}, 1, weight); len(got) != 0 {
+			t.Fatalf("empty paths voted: %v", got)
+		}
+	}
+}
+
+func TestTiesSortedByLink(t *testing.T) {
+	paths := [][]topo.LinkID{{5, 3}, {3, 5}}
+	if links, _ := top(countLinkVotes(paths, 1, democraticVote)); len(links) != 2 || links[0] != 3 || links[1] != 5 {
+		t.Fatalf("ties not sorted: %v", links)
+	}
+}
+
+var topSink []topo.LinkID
+
+func BenchmarkLocalizer007(b *testing.B) {
+	// Representative anomalous-window load: a few thousand probe+ACK
+	// paths (12 hops cross-pod) over a few hundred fabric links.
+	var paths [][]topo.LinkID
+	for i := 0; i < 4096; i++ {
+		p := make([]topo.LinkID, 12)
+		for j := range p {
+			p[j] = topo.LinkID((i*13 + j*5) % 320)
+		}
+		paths = append(paths, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		topSink, _ = top(countLinkVotes(paths, 1, democraticVote))
 	}
 }

@@ -65,16 +65,10 @@ type Config struct {
 	// window is how open incidents eventually auto-resolve.
 	Alert alert.Config
 
-	// AnalyzerStages appends extra attribution stages to the Analyzer's
-	// pipeline, after the built-in cascade (e.g. the watchdog's §7.5
-	// decision tree, or a future INT-based localizer).
-	AnalyzerStages []analyzer.Stage
-
-	// Localizer selects the Analyzer's switch-localization algorithm:
+	// Localizer selects the Analyzer's switch-localization vote weight:
 	// "" / "alg1" for the paper's Algorithm 1, "007" for democratic
-	// per-flow voting (internal/localizer). Shorthand for setting
-	// Analyzer.Localizer; the explicit Analyzer field wins if both are
-	// set.
+	// per-flow voting. Shorthand for setting Analyzer.Localizer; the
+	// explicit Analyzer field wins if both are set.
 	Localizer string
 
 	// Tenants / TenantCapacityPPS are shorthand for the controller's
@@ -268,9 +262,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	ctrl := controller.New(eng, tp, cfg.Controller)
 	an := analyzer.New(eng, tp, ctrl, cfg.Analyzer)
-	for _, s := range cfg.AnalyzerStages {
-		an.AppendStage(s)
-	}
 
 	var tracer trace.PathTracer
 	if cfg.UseINT {

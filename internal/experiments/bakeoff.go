@@ -2,18 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"rpingmesh/internal/analyzer"
 	"rpingmesh/internal/core"
 	"rpingmesh/internal/faultgen"
-	"rpingmesh/internal/localizer"
 	"rpingmesh/internal/sim"
-	"rpingmesh/internal/topo"
 )
 
 func init() {
-	register("bakeoff-localizer", "Bake-off: Algorithm 1 vs 007 democratic voting — top-1 culprit hit rate and overhead", runBakeoffLocalizer)
+	register("bakeoff-localizer", "Bake-off: Algorithm 1 vs 007 democratic voting — top-1 culprit hit rate", runBakeoffLocalizer)
 }
 
 // bakeoffFamilies are the link-targeted fault families both localizers
@@ -72,15 +69,6 @@ func runBakeoffLocalizer(seed int64) *Report {
 		aH, aT, pct(aH, aT), dH, dT, pct(dH, dT))
 	rep.metric("alg1_hit_pct", pct(aH, aT))
 	rep.metric("007_hit_pct", pct(dH, dT))
-
-	// Analyzer overhead: the per-window localization primitive timed over
-	// an identical synthetic workload (2048 anomalous paths, 8 hops each,
-	// drawn from the evaluation fabric's link space).
-	alg1NS, dem007NS := bakeoffOverhead()
-	rep.addf("vote overhead per window (2048 paths × 8 hops): alg1 %.1f µs   007 %.1f µs (%.2fx)",
-		float64(alg1NS)/1e3, float64(dem007NS)/1e3, float64(dem007NS)/float64(alg1NS))
-	rep.metric("alg1_vote_ns", float64(alg1NS))
-	rep.metric("007_vote_ns", float64(dem007NS))
 	return rep
 }
 
@@ -126,31 +114,4 @@ func bakeoffTrial(seed int64, loc string, cause faultgen.Cause, severity float64
 		}
 	}
 	return false
-}
-
-// bakeoffOverhead times both localization primitives over one synthetic
-// window workload and returns ns per window.
-func bakeoffOverhead() (alg1NS, dem007NS int64) {
-	tp := stdTopo()
-	const nPaths, hops = 2048, 8
-	paths := make([][]topo.LinkID, nPaths)
-	for i := range paths {
-		p := make([]topo.LinkID, hops)
-		for j := range p {
-			p[j] = topo.LinkID((i*hops + j*31) % len(tp.Links))
-		}
-		paths[i] = p
-	}
-	const iters = 50
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		analyzer.DetectAbnormalLinks(paths)
-	}
-	alg1NS = time.Since(t0).Nanoseconds() / iters
-	t0 = time.Now()
-	for i := 0; i < iters; i++ {
-		localizer.Top(localizer.Vote007(paths, 1))
-	}
-	dem007NS = time.Since(t0).Nanoseconds() / iters
-	return
 }

@@ -97,17 +97,6 @@ type Config struct {
 	Capacity int
 	// Policy is the overload behaviour (default Block).
 	Policy Policy
-	// MaxCoalesce caps how many queued batches one drain merges into a
-	// single downstream delivery per host (default 64).
-	MaxCoalesce int
-	// LagSample is the per-partition sampling period for delivery-lag
-	// measurement on the flat record path (default 512: a partition's
-	// first enqueue and every 512th after it are timestamped — clock
-	// reads are syscalls on some hosts, so the hot path samples sparsely,
-	// and sampling the first keeps a quiet daemon's lag visible). The
-	// classic Upload path always measures exactly. 1 samples every record
-	// batch too.
-	LagSample int
 	// Defer, when set, switches the pipeline to deferred single-threaded
 	// mode: each enqueue schedules one drain through it instead of
 	// waking a consumer goroutine. The simulation passes the engine's
@@ -119,18 +108,25 @@ type Config struct {
 	Now func() int64
 }
 
+const (
+	// maxCoalesce caps how many queued batches one drain merges into a
+	// single downstream delivery per host.
+	maxCoalesce = 64
+	// lagSample is the per-partition sampling period for delivery-lag
+	// measurement on the flat record path: a partition's first enqueue
+	// and every 512th after it are timestamped — clock reads are
+	// syscalls on some hosts, so the hot path samples sparsely, and
+	// sampling the first keeps a quiet daemon's lag visible. The classic
+	// Upload path always measures exactly.
+	lagSample = 512
+)
+
 func (c *Config) setDefaults() {
 	if c.Partitions <= 0 {
 		c.Partitions = 4
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = 256
-	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = 64
-	}
-	if c.LagSample <= 0 {
-		c.LagSample = 512
 	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixNano() }
@@ -235,7 +231,7 @@ type Stats struct {
 
 	// Lag summarizes queue residence time (ns) of dequeued batches;
 	// Lag.Max is the worst observed. The flat record path samples each
-	// partition's first batch and every LagSample-th after it; the
+	// partition's first batch and every lagSample-th after it; the
 	// classic Upload path measures every batch.
 	Lag metrics.Summary
 }
@@ -339,7 +335,7 @@ func New(cfg Config, sinks ...proto.UploadSink) *Pipeline {
 }
 
 func (p *Pipeline) newScratch() *deliverScratch {
-	return &deliverScratch{pop: make([]item, p.cfg.MaxCoalesce)}
+	return &deliverScratch{pop: make([]item, maxCoalesce)}
 }
 
 func (p *Pipeline) addSink(s proto.UploadSink) {
@@ -408,7 +404,7 @@ func (p *Pipeline) UploadRecords(rb *proto.RecordBatch) {
 
 // enqueue admits one flat batch under the overload policy. exactLag
 // forces a residence timestamp (classic Upload); otherwise only a
-// partition's first enqueue and every LagSample-th after it are
+// partition's first enqueue and every lagSample-th after it are
 // timestamped.
 func (p *Pipeline) enqueue(pi int, rb *proto.RecordBatch, exactLag bool) {
 	pt := p.parts[pi]
@@ -456,7 +452,7 @@ func (p *Pipeline) enqueue(pi int, rb *proto.RecordBatch, exactLag bool) {
 			it.at = p.cfg.Now()
 		}
 		pt.sinceLag++
-		if pt.sinceLag >= p.cfg.LagSample {
+		if pt.sinceLag >= lagSample {
 			pt.sinceLag = 0
 		}
 	}
@@ -578,7 +574,7 @@ func (p *Pipeline) consume(pi int) {
 
 		// Deliver in FIFO order straight out of the taken ring — at most
 		// two contiguous segments, no per-item copying — chunked so one
-		// coalesced delivery never merges more than MaxCoalesce batches.
+		// coalesced delivery never merges more than maxCoalesce batches.
 		for n > 0 {
 			cnt := n
 			if head+cnt > len(buf) {
@@ -587,8 +583,8 @@ func (p *Pipeline) consume(pi int) {
 			seg := buf[head : head+cnt]
 			for off := 0; off < len(seg); {
 				m := len(seg) - off
-				if m > p.cfg.MaxCoalesce {
-					m = p.cfg.MaxCoalesce
+				if m > maxCoalesce {
+					m = maxCoalesce
 				}
 				p.deliver(seg[off:off+m], sc, mayLag)
 				off += m

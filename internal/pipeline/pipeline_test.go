@@ -345,7 +345,7 @@ func TestStatsDepthAndLag(t *testing.T) {
 }
 
 // A quiet daemon's record path still reports queue lag: a partition's
-// first enqueue is sampled, not only every LagSample-th.
+// first enqueue is sampled, not only every lagSample-th.
 func TestQuietRecordPathReportsLag(t *testing.T) {
 	p := New(Config{}, &collector{})
 	p.Start()

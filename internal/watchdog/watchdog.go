@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rpingmesh/internal/analyzer"
 	"rpingmesh/internal/core"
 	"rpingmesh/internal/sim"
 	"rpingmesh/internal/simnet"
@@ -99,11 +98,6 @@ type Watchdog struct {
 
 	advisories []Advisory
 	ticker     *sim.Ticker
-
-	// diagnoses accumulates the per-window output of the attached
-	// pipeline stage (see AttachStage).
-	diagnoses []Diagnosis
-	attached  bool
 }
 
 // New attaches a watchdog to a cluster (it does not start sweeping until
@@ -138,28 +132,6 @@ func (w *Watchdog) Stop() {
 
 // Advisories returns everything raised so far.
 func (w *Watchdog) Advisories() []Advisory { return w.advisories }
-
-// AttachStage hooks the watchdog's §7.5 decision tree into the
-// Analyzer's attribution pipeline as the "watchdogDiagnose" stage: after
-// each window's impact assessment, the window's located problems are
-// diagnosed against the counter advisories raised so far, pairing each
-// WHERE (probing) with a WHY (counters). The stage is inert until Start
-// and after Stop; diagnoses accumulate in WindowDiagnoses.
-func (w *Watchdog) AttachStage() {
-	if w.attached {
-		return
-	}
-	w.attached = true
-	w.c.Analyzer.AppendStage(analyzer.NewStage("watchdogDiagnose", func(st *analyzer.WindowState) {
-		if w.ticker == nil || len(st.Report.Problems) == 0 {
-			return
-		}
-		w.diagnoses = append(w.diagnoses, w.Diagnose(st.Report.Problems)...)
-	}))
-}
-
-// WindowDiagnoses returns every diagnosis the attached stage produced.
-func (w *Watchdog) WindowDiagnoses() []Diagnosis { return w.diagnoses }
 
 func (w *Watchdog) raise(a Advisory) {
 	a.At = w.c.Eng.Now()

@@ -3,6 +3,7 @@ package watchdog
 import (
 	"testing"
 
+	"rpingmesh/internal/analyzer"
 	"rpingmesh/internal/core"
 	"rpingmesh/internal/faultgen"
 	"rpingmesh/internal/sim"
@@ -128,22 +129,19 @@ func TestPFCAdvisory(t *testing.T) {
 	}
 }
 
-// The watchdog can ride the Analyzer's pipeline directly: attached as
-// the "watchdogDiagnose" stage it diagnoses each window's problems as
-// they are produced, instead of the operator calling Diagnose by hand.
+// Per-window diagnosis is Cluster.OnWindow plus Diagnose: each closed
+// window's problems are diagnosed against the counter advisories raised
+// so far, pairing each WHERE (probing) with a WHY (counters).
 func TestAttachedStageDiagnosesPerWindow(t *testing.T) {
 	c := cluster(t, 5)
 	w := New(c, Config{})
-	w.AttachStage()
-	w.AttachStage() // idempotent
+	var diagnoses []Diagnosis
+	windows := 0
+	c.OnWindow(func(rep analyzer.WindowReport) {
+		windows++
+		diagnoses = append(diagnoses, w.Diagnose(rep.Problems)...)
+	})
 	c.StartAgents()
-
-	names := c.Analyzer.Stages()
-	if names[len(names)-1] != "watchdogDiagnose" {
-		t.Fatalf("stage not appended: %v", names)
-	}
-
-	// Before Start the stage must stay inert.
 	c.Run(30 * sim.Second)
 	w.Start()
 
@@ -153,19 +151,22 @@ func TestAttachedStageDiagnosesPerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(3 * sim.Minute)
+	if windows == 0 {
+		t.Fatal("no window closed")
+	}
 
 	// Early windows may out-run the first counter sweep and diagnose
 	// CauseUnknown/down; once advisories accumulate, the per-window
 	// diagnoses must name the corruption.
 	found := false
-	for _, d := range w.WindowDiagnoses() {
+	for _, d := range diagnoses {
 		if d.Problem.Device == victim && d.Cause == CauseCorruption {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatalf("attached stage never named corruption for %s: %v", victim, w.WindowDiagnoses())
+		t.Fatalf("per-window diagnosis never named corruption for %s: %v", victim, diagnoses)
 	}
 }
 

@@ -77,18 +77,7 @@ type (
 	Problem = analyzer.Problem
 	// Priority is the impact triage level.
 	Priority = analyzer.Priority
-	// AnalyzerStage is one step of the attribution pipeline; extra
-	// stages slot in via Config.AnalyzerStages or
-	// Cluster.Analyzer.AppendStage / InsertStageAfter.
-	AnalyzerStage = analyzer.Stage
-	// AnalyzerWindowState is the per-window state stages share.
-	AnalyzerWindowState = analyzer.WindowState
 )
-
-// NewAnalyzerStage wraps a function as a named attribution stage.
-func NewAnalyzerStage(name string, fn func(*AnalyzerWindowState)) AnalyzerStage {
-	return analyzer.NewStage(name, fn)
-}
 
 // Priorities.
 const (
