@@ -419,97 +419,78 @@ type wireReader struct {
 	b   []byte
 	off int
 	err error
+	d   *Decoder // where str and path intern what they read
 }
 
 func (r *wireReader) fail() { r.err = errShortBuffer }
-func (r *wireReader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
+
+// next consumes n bytes, or fails and returns nil if fewer are left.
+func (r *wireReader) next(n int) []byte {
+	if r.err != nil || n > len(r.b)-r.off {
 		r.fail()
-		return 0
+		return nil
 	}
-	v := r.b[r.off]
-	r.off++
+	v := r.b[r.off : r.off+n]
+	r.off += n
 	return v
+}
+func (r *wireReader) u8() uint8 {
+	if v := r.next(1); v != nil {
+		return v[0]
+	}
+	return 0
 }
 func (r *wireReader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
+	if v := r.next(2); v != nil {
+		return binary.LittleEndian.Uint16(v)
 	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
+	return 0
 }
 func (r *wireReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
+	if v := r.next(4); v != nil {
+		return binary.LittleEndian.Uint32(v)
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 func (r *wireReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
+	if v := r.next(8); v != nil {
+		return binary.LittleEndian.Uint64(v)
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 func (r *wireReader) i64() int64 { return int64(r.u64()) }
 func (r *wireReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n > maxWireString || r.off+n > len(r.b) {
+	if n := r.u32(); n > maxWireString {
 		r.fail()
-		return ""
+	} else if v := r.next(int(n)); v != nil {
+		return r.d.str(v)
 	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
+	return ""
 }
 func (r *wireReader) addr() netip.Addr {
 	switch n := r.u8(); n {
 	case 0:
 		return netip.Addr{}
 	case 4:
-		if r.err != nil || r.off+4 > len(r.b) {
-			r.fail()
-			return netip.Addr{}
+		if v := r.next(4); v != nil {
+			return netip.AddrFrom4([4]byte(v))
 		}
-		var v4 [4]byte
-		copy(v4[:], r.b[r.off:])
-		r.off += 4
-		return netip.AddrFrom4(v4)
 	case 16:
-		if r.err != nil || r.off+16 > len(r.b) {
-			r.fail()
-			return netip.Addr{}
+		if v := r.next(16); v != nil {
+			return netip.AddrFrom16([16]byte(v))
 		}
-		var v16 [16]byte
-		copy(v16[:], r.b[r.off:])
-		r.off += 16
-		return netip.AddrFrom16(v16)
 	default:
 		r.fail()
-		return netip.Addr{}
 	}
+	return netip.Addr{}
 }
 func (r *wireReader) path() []topo.LinkID {
-	n := int(r.u32())
-	if r.err != nil || n > maxWirePath || r.off+8*n > len(r.b) {
+	if n := r.u32(); n > maxWirePath {
 		r.fail()
-		return nil
+	} else if v := r.next(8 * int(n)); v != nil {
+		return r.d.path(v)
 	}
-	if n == 0 {
-		return nil
-	}
-	p := make([]topo.LinkID, n)
-	for i := range p {
-		p[i] = topo.LinkID(r.i64())
-	}
-	return p
+	return nil
 }
 
 // MarshalBinary encodes the batch in the deterministic flat layout.
@@ -619,12 +600,111 @@ func (e *BatchEncoder) AppendBinary(dst []byte, ub *UploadBatch) []byte {
 	return w.b
 }
 
-// UnmarshalBinary decodes data into b, replacing its contents. It never
-// panics on malformed input: any truncation, length-cap violation, bad
-// probe kind, or out-of-range route index yields an error. Nothing in b
-// aliases data afterwards.
+// UnmarshalBinary decodes data into b, replacing its contents: Decode
+// with a zero Decoder, which interns nothing, so nothing in b aliases
+// data or is shared with another batch.
 func (b *RecordBatch) UnmarshalBinary(data []byte) error {
-	r := wireReader{b: data}
+	var d Decoder
+	return d.Decode(b, data)
+}
+
+// Per-entry overheads of the intern tables: a map slot's key and value
+// headers. A string entry's key and value share one copy of its bytes; a
+// path entry holds its encoded bytes as the key and its links as the
+// value.
+const (
+	strEntryBytes  = 16 + 16
+	pathEntryBytes = 16 + 24
+)
+
+// Decoder decodes the flat layout into fresh RecordBatches, interning the
+// route strings and paths it reads across the batches it decodes: an
+// agent sends the same device and host IDs and the same traced paths in
+// every upload, and a repeat costs one map lookup keyed by its encoded
+// bytes instead of an allocation. What it hands out is shared between
+// batches, which is safe because nothing writes to it: strings are
+// immutable, and an interned path is full (len == cap), so an append to
+// it reallocates. Everything else — the route table and the columns — is
+// fresh per batch and belongs to the caller.
+//
+// The tables hold at most a fixed number of bytes (keys, values and
+// their map-slot headers); an entry that would exceed it clears them and
+// starts again. The zero Decoder's budget is 0: it interns nothing. A
+// Decoder is not safe for concurrent use.
+type Decoder struct {
+	strs   map[string]string
+	paths  map[string][]topo.LinkID
+	held   int
+	budget int
+}
+
+// NewDecoder returns a Decoder whose intern tables hold at most budget
+// bytes.
+func NewDecoder(budget int) *Decoder {
+	return &Decoder{strs: make(map[string]string), paths: make(map[string][]topo.LinkID), budget: budget}
+}
+
+// Interned reports the bytes the intern tables hold.
+func (d *Decoder) Interned() int { return d.held }
+
+// admit makes room for an entry of cost bytes, clearing the tables if it
+// does not fit beside what they hold. It reports false, leaving the
+// tables alone, for an entry larger than the whole budget.
+func (d *Decoder) admit(cost int) bool {
+	if cost > d.budget {
+		return false
+	}
+	if d.held+cost > d.budget {
+		clear(d.strs)
+		clear(d.paths)
+		d.held = 0
+	}
+	d.held += cost
+	return true
+}
+
+// str returns raw as an interned string. An entry goes in only once its
+// bytes have all been read, so a batch rejected later leaves the tables
+// holding nothing half-decoded.
+func (d *Decoder) str(raw []byte) string {
+	if len(raw) == 0 {
+		return ""
+	}
+	if s, ok := d.strs[string(raw)]; ok {
+		return s
+	}
+	s := string(raw)
+	if d.admit(len(s) + strEntryBytes) {
+		d.strs[s] = s
+	}
+	return s
+}
+
+// path returns the links raw encodes (8 bytes each) as an interned path.
+func (d *Decoder) path(raw []byte) []topo.LinkID {
+	if len(raw) == 0 {
+		return nil
+	}
+	if p, ok := d.paths[string(raw)]; ok {
+		return p
+	}
+	p := make([]topo.LinkID, len(raw)/8) // len == cap: an append reallocates
+	for i := range p {
+		p[i] = topo.LinkID(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	if d.admit(2*len(raw) + pathEntryBytes) {
+		d.paths[string(raw)] = p
+	}
+	return p
+}
+
+// Decode decodes data into b, replacing its contents. It never panics on
+// malformed input: any truncation, length-cap violation, bad probe kind,
+// out-of-range route index or trailing byte yields an error. Nothing in
+// b aliases data afterwards; its strings and paths may be shared with
+// batches the Decoder decoded before.
+func (d *Decoder) Decode(b *RecordBatch, data []byte) error {
+	r := wireReader{b: data, d: d}
 	if v := r.u8(); r.err == nil && v != recordWireVersion {
 		return errors.New("proto: unsupported record batch version")
 	}
@@ -678,12 +758,12 @@ func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 	if n > 0 {
 		dec.routeIdx = make([]int32, n)
 		dec.seq = make([]uint64, n)
-		dec.sentAt = make([]sim.Time, n)
 		dec.flags = make([]uint8, n)
-		dec.rtt = make([]sim.Time, n)
-		dec.probd = make([]sim.Time, n)
-		dec.respd = make([]sim.Time, n)
-		dec.oneway = make([]sim.Time, n)
+		// The five time columns share one arena, each capped at its end
+		// so an append to one reallocates instead of overwriting the next.
+		arena := make([]sim.Time, 5*n)
+		col := func(k int) []sim.Time { return arena[k*n : (k+1)*n : (k+1)*n] }
+		dec.sentAt, dec.rtt, dec.probd, dec.respd, dec.oneway = col(0), col(1), col(2), col(3), col(4)
 	}
 	le := binary.LittleEndian
 	for i := 0; i < n; i++ {

@@ -106,7 +106,8 @@ func FuzzReadFrame(f *testing.F) {
 // bytes arrive, the server's read + decode never panics or over-
 // allocates, and a frame it accepts re-encodes to the same bytes — the
 // canonical-fixed-point property proto.FuzzRecordBatchRoundTrip holds
-// for the payload, here for the frame.
+// for the payload, here for the frame. A connection's decoder, which
+// interns what it read before, decodes it twice to those same bytes.
 func FuzzUploadFrame(f *testing.F) {
 	good := uploadFrame(f, sampleUpload())
 	f.Add(good)
@@ -131,6 +132,16 @@ func FuzzUploadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(fr.wbuf, data[:headerLen+len(body)]) {
 			t.Fatal("accepted frame did not re-encode to the same bytes")
+		}
+		dec := proto.NewDecoder(internBudget)
+		for pass := 0; pass < 2; pass++ {
+			var again proto.RecordBatch
+			if err := dec.Decode(&again, body); err != nil {
+				t.Fatalf("connection decode %d refused an accepted frame: %v", pass, err)
+			}
+			if enc, _ := again.MarshalBinary(); !bytes.Equal(enc, body) {
+				t.Fatalf("connection decode %d re-encodes to other bytes", pass)
+			}
 		}
 	})
 }

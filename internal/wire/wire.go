@@ -22,12 +22,17 @@
 // ingest pipeline's Block backpressure and every "all uploads are in"
 // barrier rely on that.
 //
-// The Server decodes each upload into a fresh RecordBatch that nothing
-// else references and hands it to the sink's UploadRecords when the sink
-// is a proto.RecordSink (the ingest pipeline is, and keeps the batch),
-// else to Upload in boxed form. The Client implements proto.Controller,
-// proto.UploadSink and proto.RecordSink, so an Agent can be pointed at a
-// remote Controller/Analyzer without code changes.
+// The Server decodes each upload with its connection's proto.Decoder
+// into a fresh RecordBatch and hands it to the sink's UploadRecords when
+// the sink is a proto.RecordSink (the ingest pipeline is, and keeps the
+// batch), else to Upload in boxed form. The batch, its route table and
+// its columns are the sink's alone; its route strings and paths are
+// interned per connection and shared with the connection's other
+// batches, which is safe because nothing writes to them (strings are
+// immutable, and a path is full, so an append reallocates). The Client
+// implements proto.Controller, proto.UploadSink and proto.RecordSink, so
+// an Agent can be pointed at a remote Controller/Analyzer without code
+// changes.
 package wire
 
 import (
@@ -71,6 +76,10 @@ const (
 	// has arrived, so the read buffer never exceeds twice the bytes
 	// received (or readChunk more than them, early on).
 	readChunk = 64 << 10
+	// internBudget bounds the bytes a connection's decoder keeps interned
+	// (route strings and paths, with their map-slot headers) between
+	// uploads; past it the tables are cleared and start again.
+	internBudget = 256 << 10
 )
 
 // Control op codes.
@@ -290,6 +299,7 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) handle(conn net.Conn) {
 	var f framer
+	dec := proto.NewDecoder(internBudget)
 	for {
 		kind, body, err := f.read(conn)
 		if err != nil {
@@ -306,7 +316,7 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case kindUpload:
-			reply = append(f.stage(kindAck), s.upload(body))
+			reply = append(f.stage(kindAck), s.upload(dec, body))
 		default:
 			return
 		}
@@ -316,14 +326,15 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// upload decodes one record frame and hands the batch to the sink. body
-// is the connection's read buffer; the decoded batch does not alias it.
-func (s *Server) upload(body []byte) (status byte) {
+// upload decodes one record frame with the connection's decoder and
+// hands the batch to the sink. body is the connection's read buffer; the
+// decoded batch does not alias it.
+func (s *Server) upload(dec *proto.Decoder, body []byte) (status byte) {
 	if s.sink == nil {
 		return ackNoSink
 	}
 	rb := new(proto.RecordBatch)
-	if err := rb.UnmarshalBinary(body); err != nil {
+	if err := dec.Decode(rb, body); err != nil {
 		return ackBadBatch
 	}
 	if s.recSink != nil {
