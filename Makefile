@@ -187,11 +187,18 @@ determinism:
 # staticcheck and govulncheck run when available (CI installs them; dev
 # machines without network skip gracefully). The production daemon must
 # not link the simulated fabric: no rpmesh-controller flag may construct
-# a simulator.
+# a simulator. The boxed upload API (UploadBatch and its sinks) lives
+# only where the benchmark harness still calls it; no other non-test
+# file may mention it.
+BOXED_API = UploadBatch|UploadSink|ToUploadBatch|RecordsFromBatch
+BOXED_OK  = ^\./(bench|internal/(proto|pipeline|wire|analyzer))/
+
 lint: vet
 	@bad=$$($(GO) list -deps ./cmd/rpmesh-controller | \
 		grep -xE 'rpingmesh/internal/(core|fed|faultgen|simnet|agent|service|qos|trace|verbs)'); \
 	if [ -n "$$bad" ]; then echo "lint: rpmesh-controller links the simulator:"; echo "$$bad"; exit 1; fi
+	@boxed=$$(grep -rlE '$(BOXED_API)' --include='*.go' . | grep -v '_test\.go$$' | grep -vE '$(BOXED_OK)'); \
+	if [ -n "$$boxed" ]; then echo "lint: boxed upload API outside bench/ and internal/{proto,pipeline,wire,analyzer}:"; echo "$$boxed"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else echo "lint: staticcheck not installed, skipping"; fi

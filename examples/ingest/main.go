@@ -66,16 +66,13 @@ func main() {
 	for _, pol := range []rpingmesh.OverloadPolicy{
 		rpingmesh.DropOldest, rpingmesh.DropNewest, rpingmesh.Block,
 	} {
-		delivered := 0
-		p := pipeline.New(
-			pipeline.Config{Partitions: 1, Capacity: 4, Policy: pol},
-			proto.UploadSinkFunc(func(b proto.UploadBatch) { delivered += len(b.Results) }),
-		)
+		var delivered counter
+		p := pipeline.New(pipeline.Config{Partitions: 1, Capacity: 4, Policy: pol})
+		p.SubscribeRecords(&delivered)
 		for i := 0; i < 12; i++ {
-			p.Upload(proto.UploadBatch{
-				Host: topo.HostID("host-0"), Seq: uint64(i + 1),
-				Results: make([]proto.ProbeResult, 1),
-			})
+			b := &proto.RecordBatch{Host: topo.HostID("host-0"), Seq: uint64(i + 1)}
+			b.AppendResult(proto.ProbeResult{})
+			p.UploadRecords(b)
 		}
 		p.DrainAll()
 		s := p.Stats()
@@ -83,3 +80,8 @@ func main() {
 			pol, s.Enqueued, s.Dequeued, delivered, s.Dropped(), s.ResultsShed, s.BlockWaits)
 	}
 }
+
+// counter is a record sink that counts the probe results delivered to it.
+type counter int
+
+func (c *counter) UploadRecords(b *proto.RecordBatch) { *c += counter(b.Len()) }

@@ -97,15 +97,14 @@ func (c *Config) setDefaults() {
 
 // Agent is the per-host R-Pingmesh service.
 type Agent struct {
-	eng     *sim.Engine
-	host    *rnic.Host
-	stack   *verbs.Stack
-	ctrl    proto.Controller
-	sink    proto.UploadSink
-	recSink proto.RecordSink // sink's flat-path surface, if it has one
-	tracer  trace.PathTracer
-	cfg     Config
-	rng     *rand.Rand
+	eng    *sim.Engine
+	host   *rnic.Host
+	stack  *verbs.Stack
+	ctrl   proto.Controller
+	sink   proto.RecordSink
+	tracer trace.PathTracer
+	cfg    Config
+	rng    *rand.Rand
 
 	rnics map[topo.DeviceID]*rnicState
 
@@ -334,7 +333,7 @@ type tracedPath struct {
 // New creates an Agent for a host. The verbs stack provides the devices
 // and the modify_qp/destroy_qp trace hook; ctrl and sink are the
 // Controller and Analyzer endpoints; tracer is the path-tracing backend.
-func New(eng *sim.Engine, stack *verbs.Stack, ctrl proto.Controller, sink proto.UploadSink, tracer trace.PathTracer, cfg Config) *Agent {
+func New(eng *sim.Engine, stack *verbs.Stack, ctrl proto.Controller, sink proto.RecordSink, tracer trace.PathTracer, cfg Config) *Agent {
 	cfg.setDefaults()
 	a := &Agent{
 		eng:      eng,
@@ -350,7 +349,6 @@ func New(eng *sim.Engine, stack *verbs.Stack, ctrl proto.Controller, sink proto.
 		pending:  make(map[uint64]*pendingResponse),
 		paths:    make(map[pathKey]*tracedPath),
 	}
-	a.recSink, _ = sink.(proto.RecordSink)
 	stack.RegisterTracer(a)
 	return a
 }
@@ -882,9 +880,8 @@ func (a *Agent) record(inf *inflightProbe, flags uint8, rtt, probd, respd, onewa
 
 // upload ships the buffered columnar batch toward the Analyzer (every
 // 5 s) — in the full wiring the sink is the ingest pipeline, not the
-// Analyzer itself. Record-aware sinks receive the flat batch (ownership
-// transfers: the agent starts a fresh one); classic sinks get the
-// materialized UploadBatch. A down host uploads nothing, which is itself
+// Analyzer itself. Ownership of the batch transfers to the sink; the
+// agent starts a fresh one. A down host uploads nothing, which is itself
 // the Analyzer's host-down signal. Each batch carries a per-host
 // sequence number so the ingest tier's per-host FIFO guarantee is
 // end-to-end checkable.
@@ -903,11 +900,7 @@ func (a *Agent) upload() {
 	a.batch = nil
 	a.lastBatchLen, a.lastBatchRoutes = b.Len(), b.Routes()
 	clear(a.routeIntern) // route indexes die with the handed-off batch
-	if a.recSink != nil {
-		a.recSink.UploadRecords(b)
-		return
-	}
-	a.sink.Upload(b.ToUploadBatch())
+	a.sink.UploadRecords(b)
 }
 
 // PendingResults reports the number of buffered, not-yet-uploaded results

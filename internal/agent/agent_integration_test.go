@@ -5,7 +5,6 @@ import (
 
 	"rpingmesh/internal/agent"
 	"rpingmesh/internal/core"
-	"rpingmesh/internal/proto"
 	"rpingmesh/internal/rnic"
 	"rpingmesh/internal/sim"
 	"rpingmesh/internal/topo"
@@ -199,12 +198,6 @@ func TestProbeResultsCarryPaths(t *testing.T) {
 		}
 	}
 }
-
-var _ proto.UploadSink = (*spySink)(nil)
-
-type spySink struct{ batches []proto.UploadBatch }
-
-func (s *spySink) Upload(b proto.UploadBatch) { s.batches = append(s.batches, b) }
 
 // testClusterCfg builds the standard test cluster with an agent result
 // buffer cap.

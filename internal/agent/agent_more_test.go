@@ -13,10 +13,10 @@ func TestAllProbesAccountedUnderBlackout(t *testing.T) {
 	c := testCluster(t, 11)
 	got := 0
 	timeouts := 0
-	c.TapUploads(func(b proto.UploadBatch) {
-		got += len(b.Results)
-		for _, r := range b.Results {
-			if r.Timeout {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		got += b.Len()
+		for i := 0; i < b.Len(); i++ {
+			if b.Timeout(i) {
 				timeouts++
 			}
 		}
@@ -87,9 +87,9 @@ func TestUploadDrainsBuffer(t *testing.T) {
 func TestResultsCarryProbedQPN(t *testing.T) {
 	c := testCluster(t, 13)
 	bad := 0
-	c.TapUploads(func(b proto.UploadBatch) {
-		for _, r := range b.Results {
-			if r.DstQPN == 0 {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		for i := 0; i < b.Len(); i++ {
+			if b.RouteAt(i).DstQPN == 0 {
 				bad++
 			}
 		}
@@ -115,11 +115,12 @@ func TestStarvedProberReportsDelayNotTimeout(t *testing.T) {
 
 	var maxProber sim.Time
 	selfTimeouts := int64(0)
-	c.TapUploads(func(b proto.UploadBatch) {
+	c.TapRecords(func(b *proto.RecordBatch) {
 		if b.Host != victim {
 			return
 		}
-		for _, r := range b.Results {
+		for i := 0; i < b.Len(); i++ {
+			r := b.ResultAt(i)
 			// Probes to the starved host's own sibling RNICs answer
 			// through the same starved agent, so those genuinely time
 			// out; the claim is about probes whose RESPONDER is healthy.

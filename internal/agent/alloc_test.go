@@ -29,7 +29,6 @@ func (r registry) Lookup(ip netip.Addr) (proto.RNICInfo, bool) {
 
 type nullSink struct{}
 
-func (nullSink) Upload(proto.UploadBatch)         {}
 func (nullSink) UploadRecords(*proto.RecordBatch) {}
 
 // TestProbeRoundTripAllocs is the allocation gate of the steady-state

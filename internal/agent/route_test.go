@@ -19,7 +19,6 @@ import (
 // the sink).
 type batchSink struct{ batches []*proto.RecordBatch }
 
-func (s *batchSink) Upload(proto.UploadBatch)           {}
 func (s *batchSink) UploadRecords(b *proto.RecordBatch) { s.batches = append(s.batches, b) }
 
 // TestRetraceKeepsOneRoutePerEntry: re-tracing a probed tuple returns the
@@ -49,7 +48,7 @@ func TestRetraceKeepsOneRoutePerEntry(t *testing.T) {
 			h.Attach(d)
 			net.Register(d)
 		}
-		var up proto.UploadSink = nullSink{}
+		var up proto.RecordSink = nullSink{}
 		if i == 0 {
 			up = sink
 		}

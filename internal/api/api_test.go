@@ -75,8 +75,7 @@ func testBackend(t testing.TB) (Backend, *fakeWindows, *alert.Engine, *tsdb.DB) 
 	fw := &fakeWindows{}
 	eng := alert.NewEngine(alert.Config{ResolveAfter: 2})
 	db := tsdb.Open(tsdb.Config{})
-	pipe := pipeline.New(pipeline.Config{Partitions: 2, Capacity: 16},
-		proto.UploadSinkFunc(func(proto.UploadBatch) {}))
+	pipe := pipeline.New(pipeline.Config{Partitions: 2, Capacity: 16})
 
 	// Two windows: a P0 RNIC problem, then quiet.
 	w0 := report(0, analyzer.Problem{
@@ -91,7 +90,7 @@ func testBackend(t testing.TB) (Backend, *fakeWindows, *alert.Engine, *tsdb.DB) 
 	for i := 0; i < 10; i++ {
 		db.Append("cluster.rtt.p50", sim.Time(i)*20*sim.Second, float64(100+i))
 	}
-	pipe.Upload(proto.UploadBatch{Host: topo.HostID("h1"), Seq: 1})
+	pipe.UploadRecords(&proto.RecordBatch{Host: topo.HostID("h1"), Seq: 1})
 	pipe.DrainAll()
 
 	b := Backend{

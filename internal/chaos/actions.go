@@ -113,7 +113,7 @@ func (h *harness) restartAgent(hid topo.HostID) {
 func (h *harness) flood(n int) {
 	for i := 0; i < n; i++ {
 		h.floodSeq++
-		h.c.Upload(proto.UploadBatch{
+		h.c.UploadRecords(&proto.RecordBatch{
 			Host: "chaos-flood",
 			Sent: h.c.Eng.Now(),
 			Seq:  h.floodSeq,

@@ -146,9 +146,9 @@ func build(sc *Scenario) (*harness, error) {
 	}
 	h.window = h.c.Analyzer.Window()
 
-	h.c.TapUploads(func(b proto.UploadBatch) {
+	h.c.TapRecords(func(b *proto.RecordBatch) {
 		h.tapBatches++
-		h.tapResults += uint64(len(b.Results))
+		h.tapResults += uint64(b.Len())
 	})
 
 	// The console is exercised in-process; the slow-consumer notifier is

@@ -131,7 +131,7 @@ type Cluster struct {
 	cfg         Config
 	sharded     *sim.ShardedEngine // nil in serial mode
 	sharding    topo.Sharding
-	taps        []func(proto.UploadBatch)
+	taps        []func(*proto.RecordBatch)
 	windowHooks []func(analyzer.WindowReport)
 }
 
@@ -148,24 +148,16 @@ func (c *Cluster) Shards() int {
 // (benchmarks use it to toggle Serial window execution).
 func (c *Cluster) ShardedEngine() *sim.ShardedEngine { return c.sharded }
 
-// Upload implements proto.UploadSink by enqueueing into the ingest
-// pipeline — external injectors (e.g. a wire.Server) take the same path
-// the Agents do.
-func (c *Cluster) Upload(b proto.UploadBatch) { c.Ingest.Upload(b) }
-
-// UploadRecords implements proto.RecordSink: the Agents' flat columnar
-// upload path. Ownership of the batch passes to the pipeline.
+// UploadRecords implements proto.RecordSink by enqueueing into the
+// ingest pipeline — the Agents' upload path, which external injectors
+// take too. Ownership of the batch passes to the pipeline.
 func (c *Cluster) UploadRecords(b *proto.RecordBatch) { c.Ingest.UploadRecords(b) }
 
-// deliverRecords is the pipeline's downstream: taps first (materialized
-// to the boxed representation once, only when taps exist), then the
+// deliverRecords is the pipeline's downstream: taps first, then the
 // Analyzer's columnar ingest.
 func (c *Cluster) deliverRecords(b *proto.RecordBatch) {
-	if len(c.taps) > 0 {
-		ub := b.ToUploadBatch()
-		for _, tap := range c.taps {
-			tap(ub)
-		}
+	for _, tap := range c.taps {
+		tap(b)
 	}
 	c.Analyzer.UploadRecords(b)
 }
@@ -177,9 +169,10 @@ type recordDeliverer struct{ c *Cluster }
 
 func (d recordDeliverer) UploadRecords(b *proto.RecordBatch) { d.c.deliverRecords(b) }
 
-// TapUploads registers an observer for every batch the ingest tier
-// delivers (coalesced, in upload order).
-func (c *Cluster) TapUploads(fn func(proto.UploadBatch)) { c.taps = append(c.taps, fn) }
+// TapRecords registers an observer for every batch the ingest tier
+// delivers (coalesced, in upload order). The batch is borrowed: valid
+// only for the call, and never to be written.
+func (c *Cluster) TapRecords(fn func(*proto.RecordBatch)) { c.taps = append(c.taps, fn) }
 
 // OnWindow registers an observer invoked after each analysis window has
 // closed AND been folded into the incident engine — the seam the
@@ -315,7 +308,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// with its probing tickers — runs on the host's pod shard; the
 		// Agent's uploads hop to the fabric shard through shardSink.
 		hostEng := eng
-		var sink proto.UploadSink = c
+		var sink proto.RecordSink = c
 		if sharded != nil {
 			hostEng = sharded.Pod(sharding.HostShard[hid])
 			sink = shardSink{pod: hostEng, fab: eng, c: c}
@@ -387,10 +380,6 @@ type shardSink struct {
 	pod *sim.Engine
 	fab *sim.Engine
 	c   *Cluster
-}
-
-func (s shardSink) Upload(b proto.UploadBatch) {
-	s.pod.ScheduleOn(s.fab, s.pod.Now(), func() { s.c.Upload(b) })
 }
 
 func (s shardSink) UploadRecords(b *proto.RecordBatch) {

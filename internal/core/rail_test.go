@@ -26,8 +26,9 @@ func TestRailOneWayProbing(t *testing.T) {
 	c := railCluster(t, 1)
 	oneWay, twoWay := 0, 0
 	var oneWayRTTs []float64
-	c.TapUploads(func(b proto.UploadBatch) {
-		for _, r := range b.Results {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		for i := 0; i < b.Len(); i++ {
+			r := b.ResultAt(i)
 			if r.Timeout {
 				continue
 			}

@@ -118,8 +118,9 @@ func runAblationAggregation(seed int64) *Report {
 	type agg struct{ total, timeout int }
 	byToR := map[topo.DeviceID]*agg{}
 	byHost := map[topo.HostID]*agg{}
-	c.TapUploads(func(b proto.UploadBatch) {
-		for _, r := range b.Results {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		for i := 0; i < b.Len(); i++ {
+			r := b.RouteAt(i)
 			if r.Kind != proto.ServiceTracing {
 				continue
 			}
@@ -136,7 +137,7 @@ func runAblationAggregation(seed int64) *Report {
 			}
 			a1.total++
 			a2.total++
-			if r.Timeout {
+			if b.Timeout(i) {
 				a1.timeout++
 				a2.timeout++
 			}

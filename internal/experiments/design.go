@@ -147,18 +147,19 @@ func runFig4(seed int64) *Report {
 	negatives := 0
 	total := 0
 	c := newStdCluster(seed, func(cfg *core.Config) { cfg.MaxDriftPPM = 50 })
-	c.TapUploads(func(b proto.UploadBatch) {
-		for _, r := range b.Results {
-			if r.Timeout {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		for i := 0; i < b.Len(); i++ {
+			if b.Timeout(i) {
 				continue
 			}
 			total++
-			if r.NetworkRTT < 0 || r.ResponderDelay < 0 || r.ProberDelay < 0 {
+			netRTT, resp, prob := b.NetworkRTT(i), b.ResponderDelay(i), b.ProberDelay(i)
+			if netRTT < 0 || resp < 0 || prob < 0 {
 				negatives++
 			}
-			rtt.Add(float64(r.NetworkRTT))
-			respd.Add(float64(r.ResponderDelay))
-			probd.Add(float64(r.ProberDelay))
+			rtt.Add(float64(netRTT))
+			respd.Add(float64(resp))
+			probd.Add(float64(prob))
 		}
 	})
 	c.Run(2 * sim.Minute)

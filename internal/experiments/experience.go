@@ -165,14 +165,14 @@ func runFig10(seed int64) *Report {
 	sums := make([]float64, buckets)
 	counts := make([]float64, buckets)
 	var start sim.Time
-	c.TapUploads(func(b proto.UploadBatch) {
-		for _, r := range b.Results {
-			if r.Kind != proto.ServiceTracing || r.Timeout || start == 0 {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		for i := 0; i < b.Len(); i++ {
+			if b.RouteAt(i).Kind != proto.ServiceTracing || b.Timeout(i) || start == 0 {
 				continue
 			}
-			idx := int((r.SentAt - start) / sim.Second)
+			idx := int((b.SentAt(i) - start) / sim.Second)
 			if idx >= 0 && idx < buckets {
-				sums[idx] += float64(r.NetworkRTT)
+				sums[idx] += float64(b.NetworkRTT(i))
 				counts[idx]++
 			}
 		}
@@ -231,10 +231,10 @@ func runFig11(seed int64) *Report {
 	run := func(pattern service.Pattern, ccImpl simnet.CongestionControl) (p50, p99, p999, thr float64) {
 		c := newStdCluster(seed, func(cfg *core.Config) { cfg.Net.CC = ccImpl })
 		rtt := metrics.NewDistribution()
-		c.TapUploads(func(b proto.UploadBatch) {
-			for _, r := range b.Results {
-				if r.Kind == proto.ServiceTracing && !r.Timeout {
-					rtt.Add(float64(r.NetworkRTT))
+		c.TapRecords(func(b *proto.RecordBatch) {
+			for i := 0; i < b.Len(); i++ {
+				if b.RouteAt(i).Kind == proto.ServiceTracing && !b.Timeout(i) {
+					rtt.Add(float64(b.NetworkRTT(i)))
 				}
 			}
 		})

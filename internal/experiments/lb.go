@@ -30,13 +30,13 @@ func runLBGuidance(seed int64) *Report {
 	// Measure the victim flows specifically: service probes sourced under
 	// tor-0-0 (the flows we will collide and later spread).
 	rtt := metrics.NewDistribution()
-	c.TapUploads(func(b proto.UploadBatch) {
-		for _, r := range b.Results {
-			if r.Kind != proto.ServiceTracing || r.Timeout {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		for i := 0; i < b.Len(); i++ {
+			if b.RouteAt(i).Kind != proto.ServiceTracing || b.Timeout(i) {
 				continue
 			}
-			if src, ok := c.Topo.RNICs[r.SrcDev]; ok && src.ToR == "tor-0-0" {
-				rtt.Add(float64(r.NetworkRTT))
+			if src, ok := c.Topo.RNICs[b.RouteAt(i).SrcDev]; ok && src.ToR == "tor-0-0" {
+				rtt.Add(float64(b.NetworkRTT(i)))
 			}
 		}
 	})

@@ -109,15 +109,15 @@ func runFig2(seed int64) *Report {
 	resetWindow()
 
 	c := newStdCluster(seed, func(cfg *core.Config) {})
-	c.TapUploads(func(b proto.UploadBatch) {
-		for _, r := range b.Results {
-			if r.Timeout {
+	c.TapRecords(func(b *proto.RecordBatch) {
+		for i := 0; i < b.Len(); i++ {
+			if b.Timeout(i) {
 				continue
 			}
 			// Software RTT is what an application-layer ping sees: the
 			// whole ①→⑥ span.
-			soft.Add(float64(r.NetworkRTT + r.ProberDelay + r.ResponderDelay))
-			hard.Add(float64(r.NetworkRTT))
+			soft.Add(float64(b.NetworkRTT(i) + b.ProberDelay(i) + b.ResponderDelay(i)))
+			hard.Add(float64(b.NetworkRTT(i)))
 		}
 	})
 	c.Run(20 * sim.Second) // warm-up

@@ -3,6 +3,7 @@ package fed
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"rpingmesh/internal/alert"
@@ -85,7 +86,7 @@ func newNode(index int, cfg Config, shard map[topo.HostID]bool, ccfg core.Config
 	}
 	n.Cluster = c
 	n.rep = NewReplica(cfg, c.Analyzer.Window())
-	c.TapUploads(n.observeUploads)
+	c.TapRecords(n.observeRecords)
 	c.OnWindow(n.onWindow)
 	return n, nil
 }
@@ -107,14 +108,21 @@ func (s shardController) Pinglists(h topo.HostID) []proto.Pinglist {
 	return s.Controller.Pinglists(h)
 }
 
-// observeUploads runs on every delivered upload batch and accumulates
+// observeRecords runs on every delivered upload batch and accumulates
 // this window's coverage claims: which (entity, class) pairs this node's
 // probes were in a position to judge. The claims are what scale the
 // quorum per entity — Q is demanded only of nodes that could have seen
-// the problem.
-func (n *Node) observeUploads(b proto.UploadBatch) {
-	for i := range b.Results {
-		r := &b.Results[i]
+// the problem. A claim depends only on a record's route, so each route a
+// record points at is claimed once per batch.
+func (n *Node) observeRecords(b *proto.RecordBatch) {
+	claimed := make([]bool, b.Routes())
+	for i := 0; i < b.Len(); i++ {
+		ri := b.RouteIndex(i)
+		if claimed[ri] {
+			continue
+		}
+		claimed[ri] = true
+		r := b.Route(ri)
 		if r.DstHost != "" {
 			n.claim("host:"+string(r.DstHost), analyzer.ProblemHostDown)
 			n.claim("host:"+string(r.DstHost), analyzer.ProblemHighProcDelay)
@@ -129,10 +137,10 @@ func (n *Node) observeUploads(b proto.UploadBatch) {
 			n.claim("service", analyzer.ProblemHighRTT)
 		}
 		for _, l := range r.ProbePath {
-			n.claim(fmt.Sprintf("link:%d", int(l)), analyzer.ProblemSwitchLink)
+			n.claim("link:"+strconv.Itoa(int(l)), analyzer.ProblemSwitchLink)
 		}
 		for _, l := range r.AckPath {
-			n.claim(fmt.Sprintf("link:%d", int(l)), analyzer.ProblemSwitchLink)
+			n.claim("link:"+strconv.Itoa(int(l)), analyzer.ProblemSwitchLink)
 		}
 	}
 }

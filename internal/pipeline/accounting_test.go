@@ -29,11 +29,11 @@ func TestAccountingExactUnderConcurrentOverload(t *testing.T) {
 	for _, pol := range []Policy{Block, DropOldest, DropNewest} {
 		t.Run(pol.String(), func(t *testing.T) {
 			var delivered, deliveredResults atomic.Uint64
-			sink := proto.UploadSinkFunc(func(b proto.UploadBatch) {
+			p := New(Config{Partitions: 4, Capacity: 8, Policy: pol})
+			p.SubscribeRecords(recordFunc(func(b *proto.RecordBatch) {
 				delivered.Add(1)
-				deliveredResults.Add(uint64(len(b.Results)))
-			})
-			p := New(Config{Partitions: 4, Capacity: 8, Policy: pol}, sink)
+				deliveredResults.Add(uint64(b.Len()))
+			}))
 			p.Start()
 
 			var wg sync.WaitGroup

@@ -11,9 +11,10 @@
 // partitions are fixed ring buffers, enqueue sequence numbers are a
 // single atomic, consumers pop into per-consumer scratch and merge
 // same-host runs into a reusable columnar batch — the steady-state
-// ingest path performs zero heap allocations. The classic
-// proto.UploadSink surface (Upload) remains as a compatibility shim
-// that converts batches on entry.
+// ingest path performs zero heap allocations. The boxed
+// proto.UploadSink surface remains only for the benchmark harness:
+// Upload converts a batch on entry, and a sink passed to New that is not
+// a proto.RecordSink receives each delivery boxed.
 //
 // The pipeline runs in one of two modes:
 //
@@ -295,8 +296,9 @@ type Pipeline struct {
 	// its cross-core cache traffic.
 	concurrent atomic.Bool
 
-	// Sink fan-out lists, split once at Subscribe time so delivery does
-	// not type-switch per batch. Subscribe before Start (see Subscribe).
+	// Sink fan-out lists, split once at subscription so delivery does
+	// not type-switch per batch. Subscribe before Start (see
+	// SubscribeRecords).
 	recSinks   []proto.RecordSink
 	batchSinks []proto.UploadSink
 
@@ -310,10 +312,13 @@ type Pipeline struct {
 	consumersWG sync.WaitGroup
 }
 
-// New builds a pipeline delivering to the given sinks (more can be added
-// with Subscribe). The pipeline is usable immediately: in deferred mode
-// (Config.Defer set) it needs no Start; in concurrent mode call Start to
-// spawn the per-partition consumers, or call DrainAll manually.
+// New builds a pipeline delivering to the given sinks (more record sinks
+// can be added with SubscribeRecords). A sink that also implements
+// proto.RecordSink receives flat record batches (borrowed for the call;
+// copy to retain) and never the boxed form. The pipeline is usable
+// immediately: in deferred mode (Config.Defer set) it needs no Start; in
+// concurrent mode call Start to spawn the per-partition consumers, or
+// call DrainAll manually.
 func New(cfg Config, sinks ...proto.UploadSink) *Pipeline {
 	cfg.setDefaults()
 	p := &Pipeline{
@@ -322,7 +327,11 @@ func New(cfg Config, sinks ...proto.UploadSink) *Pipeline {
 	}
 	p.scratch.New = func() any { return p.newScratch() }
 	for _, s := range sinks {
-		p.addSink(s)
+		if rs, ok := s.(proto.RecordSink); ok {
+			p.recSinks = append(p.recSinks, rs)
+		} else {
+			p.batchSinks = append(p.batchSinks, s)
+		}
 	}
 	p.parts = make([]*partition, cfg.Partitions)
 	for i := range p.parts {
@@ -338,28 +347,10 @@ func (p *Pipeline) newScratch() *deliverScratch {
 	return &deliverScratch{pop: make([]item, maxCoalesce)}
 }
 
-func (p *Pipeline) addSink(s proto.UploadSink) {
-	if rs, ok := s.(proto.RecordSink); ok {
-		p.recSinks = append(p.recSinks, rs)
-		return
-	}
-	p.batchSinks = append(p.batchSinks, s)
-}
-
-// Subscribe adds a downstream sink. A sink that also implements
-// proto.RecordSink receives flat record batches (borrowed for the call;
-// copy to retain) and never the materialized form. Every delivery fans
-// out to all subscribers in registration order within each list.
-// Subscribe before Start (or from the simulation's single thread); it is
-// not safe to race with consumers.
-func (p *Pipeline) Subscribe(s proto.UploadSink) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.addSink(s)
-}
-
-// SubscribeRecords adds a flat-path-only downstream sink. Same
-// constraints as Subscribe.
+// SubscribeRecords adds a downstream sink. It receives every delivered
+// batch after the record sinks subscribed before it, borrowed for the
+// call (copy to retain). Subscribe before Start (or from the simulation's
+// single thread); it is not safe to race with consumers.
 func (p *Pipeline) SubscribeRecords(s proto.RecordSink) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

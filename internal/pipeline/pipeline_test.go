@@ -46,6 +46,11 @@ func (c *collector) seqsOf(host topo.HostID) []uint64 {
 	return out
 }
 
+// recordFunc adapts a function to proto.RecordSink.
+type recordFunc func(*proto.RecordBatch)
+
+func (f recordFunc) UploadRecords(b *proto.RecordBatch) { f(b) }
+
 func batch(host string, seq uint64, n int) proto.UploadBatch {
 	return proto.UploadBatch{
 		Host:    topo.HostID(host),
@@ -304,14 +309,13 @@ func TestDeferredModeGlobalOrder(t *testing.T) {
 	}
 }
 
-// Fan-out: every subscriber sees every delivery.
+// Fan-out: every subscriber, boxed or flat, sees every delivery.
 func TestFanOut(t *testing.T) {
 	s1, s2 := &collector{}, &collector{}
 	var fnCount atomic.Int64
-	p := New(onePartitionCfg(16, Block), s1)
-	p.Subscribe(s2)
-	p.Subscribe(proto.UploadSinkFunc(func(b proto.UploadBatch) {
-		fnCount.Add(int64(len(b.Results)))
+	p := New(onePartitionCfg(16, Block), s1, s2)
+	p.SubscribeRecords(recordFunc(func(b *proto.RecordBatch) {
+		fnCount.Add(int64(b.Len()))
 	}))
 	for i := 1; i <= 5; i++ {
 		p.Upload(batch("h", uint64(i), 2))

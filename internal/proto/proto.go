@@ -110,10 +110,10 @@ type ProbeResult struct {
 	AckPath   []topo.LinkID `json:"ack_path,omitempty"`
 }
 
-// UploadBatch is the Agent's periodic (5 s) upload toward the Analyzer.
-// In the full deployment it does not go there directly: batches enter the
-// ingest tier (internal/pipeline), which buffers, partitions and coalesces
-// them before delivery.
+// UploadBatch is the boxed form of an agent's periodic (5 s) upload, one
+// ProbeResult per probe. Agents upload the columnar RecordBatch; the
+// boxed form remains only as the UploadSink surface of the pipeline, the
+// wire transport and the Analyzer.
 type UploadBatch struct {
 	Host topo.HostID `json:"host"`
 	Sent sim.Time    `json:"sent"`
@@ -143,7 +143,7 @@ type Controller interface {
 	Lookup(ip netip.Addr) (RNICInfo, bool)
 }
 
-// UploadSink receives Agent uploads. Implemented by the Analyzer, the
+// UploadSink receives boxed uploads. Implemented by the Analyzer, the
 // ingest pipeline, and the TCP transport. A sink served by a wire.Server
 // is called from every connection's goroutine at once, so it must be
 // safe for concurrent use; a call may block (backpressure), which holds
@@ -151,10 +151,3 @@ type Controller interface {
 type UploadSink interface {
 	Upload(batch UploadBatch)
 }
-
-// UploadSinkFunc adapts a plain function to UploadSink (taps, pipeline
-// subscribers).
-type UploadSinkFunc func(UploadBatch)
-
-// Upload implements UploadSink.
-func (f UploadSinkFunc) Upload(b UploadBatch) { f(b) }

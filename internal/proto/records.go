@@ -276,9 +276,10 @@ type RecordBatch struct {
 	Records
 }
 
-// ToUploadBatch materializes the batch as a classic UploadBatch for
-// legacy consumers (taps, wire transport, tests). Empty batches keep a
-// nil Results slice, matching what agents historically uploaded.
+// ToUploadBatch materializes the batch as a classic UploadBatch for the
+// remaining boxed consumers: the pipeline's and the wire server's
+// UploadSink arms, callers of wire.Client.Upload, and tests. Empty
+// batches keep a nil Results slice.
 func (b *RecordBatch) ToUploadBatch() UploadBatch {
 	ub := UploadBatch{Host: b.Host, Sent: b.Sent, Seq: b.Seq}
 	if b.Len() > 0 {
