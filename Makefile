@@ -184,16 +184,19 @@ determinism:
 
 # --- static analysis ---------------------------------------------------
 
-# staticcheck and govulncheck run when available (CI installs them; dev
-# machines without network skip gracefully). The production daemon must
-# not link the simulated fabric: no rpmesh-controller flag may construct
-# a simulator. The boxed upload API (UploadBatch and its sinks) lives
+# gofmt must list nothing (dot-directories such as .bench_build/ are
+# skipped). staticcheck and govulncheck run when available (CI installs
+# them; dev machines without network skip gracefully). The production
+# daemon must not link the simulated fabric: no rpmesh-controller flag
+# may construct a simulator. The boxed upload API (UploadBatch and its sinks) lives
 # only where the benchmark harness still calls it; no other non-test
 # file may mention it.
 BOXED_API = UploadBatch|UploadSink|ToUploadBatch|RecordsFromBatch
 BOXED_OK  = ^\./(bench|internal/(proto|pipeline|wire|analyzer))/
 
 lint: vet
+	@unformatted=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "lint: gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@bad=$$($(GO) list -deps ./cmd/rpmesh-controller | \
 		grep -xE 'rpingmesh/internal/(core|fed|faultgen|simnet|agent|service|qos|trace|verbs)'); \
 	if [ -n "$$bad" ]; then echo "lint: rpmesh-controller links the simulator:"; echo "$$bad"; exit 1; fi

@@ -24,8 +24,13 @@ import (
 
 	"rpingmesh"
 	"rpingmesh/internal/alert"
+	"rpingmesh/internal/api"
+	"rpingmesh/internal/core"
 	"rpingmesh/internal/faultgen"
 	"rpingmesh/internal/service"
+	"rpingmesh/internal/sim"
+	"rpingmesh/internal/topo"
+	"rpingmesh/internal/watchdog"
 )
 
 func main() {
@@ -36,16 +41,16 @@ func main() {
 	// Fabric + alert tier tuned so the whole lifecycle fits in a
 	// 12-minute simulation: resolve after 2 clean windows, suppress the
 	// third reopen inside a 60-window flap horizon.
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Spines: 4,
 		HostsPerToR: 2, RNICsPerHost: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := rpingmesh.New(rpingmesh.Config{
+	cluster, err := core.NewCluster(core.Config{
 		Topology: tp, Seed: 777,
-		Alert: rpingmesh.AlertConfig{
+		Alert: alert.Config{
 			ResolveAfter: 2, FlapThreshold: 3, FlapWindow: 60, DeescalateAfter: 2,
 		},
 	})
@@ -62,43 +67,43 @@ func main() {
 	devA := cluster.Topo.Hosts[jobHosts[0]].RNICs[0] // in the job's network
 	devB := cluster.Topo.Hosts[hosts[6]].RNICs[0]    // outside it, oscillating
 	hostC := hosts[7]
-	in := rpingmesh.NewInjector(cluster, 7)
+	in := faultgen.NewInjector(cluster, 7)
 
 	// Persistent corruption at devA from 30 s, cleared at 7 m.
 	var faultA *faultgen.ActiveFault
-	cluster.Eng.At(30*rpingmesh.Second, func() {
+	cluster.Eng.At(30*sim.Second, func() {
 		faultA, _ = in.Inject(faultgen.Fault{
 			Cause: faultgen.PacketCorruption, Dev: devA, Severity: 0.5,
 		})
 	})
-	cluster.Eng.At(7*rpingmesh.Minute, func() { in.Clear(faultA) })
+	cluster.Eng.At(7*sim.Minute, func() { in.Clear(faultA) })
 
 	// devB flaps: 1 minute on, 1 minute off, four times.
 	for cycle := 0; cycle < 4; cycle++ {
-		on := 40*rpingmesh.Second + rpingmesh.Time(cycle)*2*rpingmesh.Minute
+		on := 40*sim.Second + sim.Time(cycle)*2*sim.Minute
 		var f *faultgen.ActiveFault
 		cluster.Eng.At(on, func() {
 			f, _ = in.Inject(faultgen.Fault{
 				Cause: faultgen.PacketCorruption, Dev: devB, Severity: 0.5,
 			})
 		})
-		cluster.Eng.At(on+rpingmesh.Minute, func() { in.Clear(f) })
+		cluster.Eng.At(on+sim.Minute, func() { in.Clear(f) })
 	}
 
 	// hostC goes down at 8 m and stays down.
-	cluster.Eng.At(8*rpingmesh.Minute, func() {
+	cluster.Eng.At(8*sim.Minute, func() {
 		_, _ = in.Inject(faultgen.Fault{Cause: faultgen.HostDown, Host: hostC})
 	})
 
 	// The watchdog gathers the counter evidence /api/diagnose serves.
-	wd := rpingmesh.NewWatchdog(cluster, rpingmesh.WatchdogConfig{})
+	wd := watchdog.New(cluster, watchdog.Config{})
 	wd.Start()
 
 	fmt.Printf("simulating 12 minutes: faults at %s (persistent, in-service), %s (flapping), %s (down)\n\n",
 		devA, devB, hostC)
-	cluster.Run(2 * rpingmesh.Minute)
+	cluster.Run(2 * sim.Minute)
 	job, err := cluster.NewJob(service.Config{
-		Pattern: service.All2All, ComputeTime: rpingmesh.Second,
+		Pattern: service.All2All, ComputeTime: sim.Second,
 		DemandGbps: 200, VolumePerFlowGB: 4, Seed: 777,
 	}, jobHosts...)
 	if err != nil {
@@ -107,10 +112,10 @@ func main() {
 	if err := job.Start(); err != nil {
 		log.Fatal(err)
 	}
-	cluster.Run(10 * rpingmesh.Minute)
+	cluster.Run(10 * sim.Minute)
 
 	// Serve the finished deployment and query it over real HTTP.
-	console := rpingmesh.NewConsole(cluster, wd, rpingmesh.APIConfig{Addr: *addr})
+	console := rpingmesh.NewConsole(cluster, wd, api.Config{Addr: *addr})
 	if err := console.Start(); err != nil {
 		log.Fatal(err)
 	}

@@ -9,31 +9,32 @@ import (
 	"fmt"
 	"log"
 
-	"rpingmesh"
+	"rpingmesh/internal/core"
 	"rpingmesh/internal/pipeline"
 	"rpingmesh/internal/proto"
+	"rpingmesh/internal/sim"
 	"rpingmesh/internal/topo"
 )
 
 func main() {
 	// Part 1 — the full path: agent → pipeline → analyzer → tsdb.
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Spines: 4,
 		HostsPerToR: 2, RNICsPerHost: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := rpingmesh.New(rpingmesh.Config{
+	cluster, err := core.NewCluster(core.Config{
 		Topology: tp, Seed: 7,
 		// Explicitly small ingest tier so the self-metrics are legible.
-		Pipeline: rpingmesh.PipelineConfig{Partitions: 4, Capacity: 64},
+		Pipeline: pipeline.Config{Partitions: 4, Capacity: 64},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	cluster.StartAgents()
-	cluster.Run(90 * rpingmesh.Second) // four 20s analyzer windows, plus slack
+	cluster.Run(90 * sim.Second) // four 20s analyzer windows, plus slack
 
 	st := cluster.Ingest.Stats()
 	fmt.Printf("pipeline self-metrics: %s\n", st)
@@ -44,7 +45,7 @@ func main() {
 
 	rep, _ := cluster.Analyzer.LastReport()
 	fmt.Printf("last window: %d probes, RTT p50=%.1fµs\n",
-		rep.Cluster.Probes, rep.Cluster.RTT.P50/float64(rpingmesh.Microsecond))
+		rep.Cluster.Probes, rep.Cluster.RTT.P50/float64(sim.Microsecond))
 
 	// Historical queries come from the tsdb, not analyzer state: the
 	// per-window series survive even after the analyzer trims its
@@ -52,19 +53,19 @@ func main() {
 	fmt.Printf("tsdb series: %v\n", cluster.TSDB.Series())
 	for _, p := range cluster.TSDB.Range("cluster.rtt.p50", 0, cluster.Eng.Now()) {
 		fmt.Printf("  window ending %3ds: cluster p50 = %.1fµs\n",
-			int(p.T/rpingmesh.Second), p.V/float64(rpingmesh.Microsecond))
+			int(p.T/sim.Second), p.V/float64(sim.Microsecond))
 	}
 	if q, ok := cluster.TSDB.Quantile("cluster.rtt.p99", 0, cluster.Eng.Now(), 0.5); ok {
 		fmt.Printf("  median per-window p99 over the run: %.1fµs\n",
-			q/float64(rpingmesh.Microsecond))
+			q/float64(sim.Microsecond))
 	}
 
 	// Part 2 — overload: a tiny 1-partition queue under each policy.
 	// 12 uploads into capacity 4 with no consumer running, then a manual
 	// drain; every shed batch is accounted.
 	fmt.Println("\noverload demo: 12 uploads, capacity 4, no consumer until drain")
-	for _, pol := range []rpingmesh.OverloadPolicy{
-		rpingmesh.DropOldest, rpingmesh.DropNewest, rpingmesh.Block,
+	for _, pol := range []pipeline.Policy{
+		pipeline.DropOldest, pipeline.DropNewest, pipeline.Block,
 	} {
 		var delivered counter
 		p := pipeline.New(pipeline.Config{Partitions: 1, Capacity: 4, Policy: pol})

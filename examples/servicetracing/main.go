@@ -7,25 +7,27 @@ import (
 	"fmt"
 	"log"
 
-	"rpingmesh"
+	"rpingmesh/internal/core"
 	"rpingmesh/internal/faultgen"
 	"rpingmesh/internal/service"
+	"rpingmesh/internal/sim"
+	"rpingmesh/internal/topo"
 )
 
 func main() {
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Spines: 4,
 		HostsPerToR: 2, RNICsPerHost: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := rpingmesh.New(rpingmesh.Config{Topology: tp, Seed: 7})
+	cluster, err := core.NewCluster(core.Config{Topology: tp, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
 	cluster.StartAgents()
-	cluster.Run(20 * rpingmesh.Second)
+	cluster.Run(20 * sim.Second)
 
 	// A 6-host AllReduce job; its RC connections are picked up by the
 	// Agents' modify_qp tracer, and service-tracing probes copy the exact
@@ -34,7 +36,7 @@ func main() {
 	job, err := cluster.NewJob(service.Config{
 		Pattern:         service.AllReduce,
 		VolumePerFlowGB: 8,
-		StallFailAfter:  rpingmesh.Hour,
+		StallFailAfter:  sim.Hour,
 	}, hosts[:6]...)
 	if err != nil {
 		log.Fatal(err)
@@ -42,13 +44,13 @@ func main() {
 	if err := job.Start(); err != nil {
 		log.Fatal(err)
 	}
-	cluster.Run(rpingmesh.Minute)
+	cluster.Run(sim.Minute)
 	rep, _ := cluster.Analyzer.LastReport()
 	fmt.Printf("service network: %d probes/window, RTT p50=%.1fµs\n",
-		rep.Service.Probes, rep.Service.RTT.P50/float64(rpingmesh.Microsecond))
+		rep.Service.Probes, rep.Service.RTT.P50/float64(sim.Microsecond))
 
 	// Scenario 1: corruption on a fabric link the service uses -> P0/P1.
-	in := rpingmesh.NewInjector(cluster, 7)
+	in := faultgen.NewInjector(cluster, 7)
 	svcLink := job.FlowPaths()[0][1]
 	for _, path := range job.FlowPaths() {
 		for _, l := range path {
@@ -60,22 +62,22 @@ func main() {
 		}
 	}
 	fmt.Printf("\n[1] corrupting service-path link %s->%s\n", tp.Links[svcLink].From, tp.Links[svcLink].To)
-	af, err := in.Inject(rpingmesh.Fault{Cause: faultgen.PacketCorruption, Link: svcLink, Severity: 0.08})
+	af, err := in.Inject(faultgen.Fault{Cause: faultgen.PacketCorruption, Link: svcLink, Severity: 0.08})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Run(45 * rpingmesh.Second)
+	cluster.Run(45 * sim.Second)
 	in.Clear(af)
 	printProblems(cluster)
 
 	// Scenario 2: an RNIC outside the service network dies -> P2.
 	outside := tp.Hosts[hosts[7]].RNICs[0]
 	fmt.Printf("\n[2] killing non-service RNIC %s\n", outside)
-	af2, err := in.Inject(rpingmesh.Fault{Cause: faultgen.RNICDown, Dev: outside})
+	af2, err := in.Inject(faultgen.Fault{Cause: faultgen.RNICDown, Dev: outside})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Run(45 * rpingmesh.Second)
+	cluster.Run(45 * sim.Second)
 	in.Clear(af2)
 	printProblems(cluster)
 
@@ -83,13 +85,13 @@ func main() {
 	// is healthy -> "the network is innocent".
 	fmt.Println("\n[3] injecting a training-code bug (compute slows down)")
 	factor := 1.0
-	cluster.Eng.Every(20*rpingmesh.Second, 20*rpingmesh.Second, func() {
+	cluster.Eng.Every(20*sim.Second, 20*sim.Second, func() {
 		factor *= 1.3
 		for _, h := range tp.AllHosts() {
 			job.SetComputeFactor(h, factor)
 		}
 	})
-	cluster.Run(3 * rpingmesh.Minute)
+	cluster.Run(3 * sim.Minute)
 	innocent := 0
 	for _, w := range cluster.Analyzer.Reports() {
 		if w.NetworkInnocent {
@@ -99,7 +101,7 @@ func main() {
 	fmt.Printf("analysis windows declaring the network innocent: %d\n", innocent)
 }
 
-func printProblems(cluster *rpingmesh.Cluster) {
+func printProblems(cluster *core.Cluster) {
 	rep, _ := cluster.Analyzer.LastReport()
 	if len(rep.Problems) == 0 {
 		// Look one window back; detection can straddle the boundary.

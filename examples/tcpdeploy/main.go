@@ -8,13 +8,15 @@ import (
 	"fmt"
 	"log"
 
-	"rpingmesh"
+	"rpingmesh/internal/core"
 	"rpingmesh/internal/proto"
+	"rpingmesh/internal/sim"
+	"rpingmesh/internal/topo"
 	"rpingmesh/internal/wire"
 )
 
 func main() {
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 1, ToRsPerPod: 2, AggsPerPod: 2, Spines: 2,
 		HostsPerToR: 2, RNICsPerHost: 2,
 	})
@@ -23,7 +25,7 @@ func main() {
 	}
 
 	var srv *wire.Server
-	cluster, err := rpingmesh.New(rpingmesh.Config{
+	cluster, err := core.NewCluster(core.Config{
 		Topology: tp,
 		Seed:     5,
 		WrapController: func(local proto.Controller) proto.Controller {
@@ -45,12 +47,12 @@ func main() {
 	fmt.Printf("controller serving on tcp://%s\n", srv.Addr())
 
 	cluster.StartAgents()
-	cluster.Run(45 * rpingmesh.Second)
+	cluster.Run(45 * sim.Second)
 
 	fmt.Printf("RNICs registered over TCP: %d/%d\n", cluster.Controller.Registered(), len(tp.RNICs))
 	rep, _ := cluster.Analyzer.LastReport()
 	fmt.Printf("monitoring live: %d probes/window, RTT p50 %.1fµs, drops %d\n",
 		rep.Cluster.Probes,
-		rep.Cluster.RTT.P50/float64(rpingmesh.Microsecond),
+		rep.Cluster.RTT.P50/float64(sim.Microsecond),
 		rep.Cluster.RNICDrops+rep.Cluster.SwitchDrops)
 }

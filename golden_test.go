@@ -18,7 +18,6 @@ import (
 	"sort"
 	"testing"
 
-	"rpingmesh"
 	"rpingmesh/internal/analyzer"
 	"rpingmesh/internal/core"
 	"rpingmesh/internal/faultgen"
@@ -43,19 +42,19 @@ const goldenPath = "testdata/analyzer_golden.json"
 // mix, and returns the full retained report sequence.
 type goldenScenario struct {
 	name string
-	run  func(t testing.TB, cfg analyzer.Config) []rpingmesh.WindowReport
+	run  func(t testing.TB, cfg analyzer.Config) []analyzer.WindowReport
 }
 
-func goldenCluster(t testing.TB, seed int64, acfg analyzer.Config) *rpingmesh.Cluster {
+func goldenCluster(t testing.TB, seed int64, acfg analyzer.Config) *core.Cluster {
 	t.Helper()
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Spines: 4,
 		HostsPerToR: 2, RNICsPerHost: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := rpingmesh.New(core.Config{Topology: tp, Seed: seed, Analyzer: acfg, Net: goldenNetCfg})
+	c, err := core.NewCluster(core.Config{Topology: tp, Seed: seed, Analyzer: acfg, Net: goldenNetCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +64,9 @@ func goldenCluster(t testing.TB, seed int64, acfg analyzer.Config) *rpingmesh.Cl
 
 // scenarioFig6Mix is a compressed slice of the Fig 6 month: a Poisson
 // storm of six root causes plus CPU-starvation noise events.
-func scenarioFig6Mix(t testing.TB, acfg analyzer.Config) []rpingmesh.WindowReport {
+func scenarioFig6Mix(t testing.TB, acfg analyzer.Config) []analyzer.WindowReport {
 	c := goldenCluster(t, 606, acfg)
-	in := rpingmesh.NewInjector(c, 61)
+	in := faultgen.NewInjector(c, 61)
 	c.Run(30 * sim.Second)
 
 	horizon := 20 * sim.Minute
@@ -101,7 +100,7 @@ func scenarioFig6Mix(t testing.TB, acfg analyzer.Config) []rpingmesh.WindowRepor
 // scenarioFig5Mix is the SLA-monitoring mix: an All2All job over six
 // hosts with checkpoint phases, two in-service drop events, and one
 // persistently dropping RNIC outside the service network.
-func scenarioFig5Mix(t testing.TB, acfg analyzer.Config) []rpingmesh.WindowReport {
+func scenarioFig5Mix(t testing.TB, acfg analyzer.Config) []analyzer.WindowReport {
 	c := goldenCluster(t, 505, acfg)
 	hosts := c.Topo.AllHosts()
 	serviceHosts := hosts[:6]
@@ -136,7 +135,7 @@ func scenarioFig5Mix(t testing.TB, acfg analyzer.Config) []rpingmesh.WindowRepor
 			}
 		}
 	}
-	in := rpingmesh.NewInjector(c, 51)
+	in := faultgen.NewInjector(c, 51)
 	c.Eng.After(3*sim.Minute, func() {
 		af, _ := in.Inject(faultgen.Fault{Cause: faultgen.PacketCorruption, Link: svcLink, Severity: 0.08})
 		c.Eng.After(sim.Minute, func() { in.Clear(af) })
@@ -151,9 +150,9 @@ func scenarioFig5Mix(t testing.TB, acfg analyzer.Config) []rpingmesh.WindowRepor
 
 // scenarioTable2Mix injects a sequence of distinct Table 2 causes, each
 // cleared before the next lands.
-func scenarioTable2Mix(t testing.TB, acfg analyzer.Config) []rpingmesh.WindowReport {
+func scenarioTable2Mix(t testing.TB, acfg analyzer.Config) []analyzer.WindowReport {
 	c := goldenCluster(t, 202, acfg)
-	in := rpingmesh.NewInjector(c, 21)
+	in := faultgen.NewInjector(c, 21)
 	c.Run(30 * sim.Second)
 
 	seq := []faultgen.Fault{
@@ -189,7 +188,7 @@ var goldenScenarios = []goldenScenario{
 // digestReports canonically encodes every field of every report and
 // hashes the stream. Map-typed fields are encoded in sorted key order so
 // the digest depends only on report content.
-func digestReports(reports []rpingmesh.WindowReport) string {
+func digestReports(reports []analyzer.WindowReport) string {
 	h := sha256.New()
 	for i := range reports {
 		encodeReport(h, &reports[i])
@@ -197,7 +196,7 @@ func digestReports(reports []rpingmesh.WindowReport) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func encodeReport(w io.Writer, r *rpingmesh.WindowReport) {
+func encodeReport(w io.Writer, r *analyzer.WindowReport) {
 	fmt.Fprintf(w, "window %d %d %d\n", r.Index, r.Start, r.End)
 	encodeSLA(w, "cluster", &r.Cluster)
 	encodeSLA(w, "service", &r.Service)

@@ -13,12 +13,12 @@ import (
 	"strings"
 	"testing"
 
-	"rpingmesh"
 	"rpingmesh/internal/alert"
 	"rpingmesh/internal/core"
 	"rpingmesh/internal/faultgen"
 	"rpingmesh/internal/service"
 	"rpingmesh/internal/sim"
+	"rpingmesh/internal/topo"
 )
 
 const incidentGoldenPath = "testdata/incidents_golden.json"
@@ -36,16 +36,16 @@ const incidentGoldenPath = "testdata/incidents_golden.json"
 //     still open at the end.
 func incidentScenario(t testing.TB) ([]string, *alert.Engine) {
 	t.Helper()
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Spines: 4,
 		HostsPerToR: 2, RNICsPerHost: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := rpingmesh.New(core.Config{
+	c, err := core.NewCluster(core.Config{
 		Topology: tp, Seed: 777,
-		Alert: rpingmesh.AlertConfig{
+		Alert: alert.Config{
 			ResolveAfter: 2, FlapThreshold: 3, FlapWindow: 60, DeescalateAfter: 2,
 		},
 	})
@@ -62,7 +62,7 @@ func incidentScenario(t testing.TB) ([]string, *alert.Engine) {
 	devB := c.Topo.Hosts[hosts[6]].RNICs[0]
 	hostC := hosts[7]
 
-	in := rpingmesh.NewInjector(c, 7)
+	in := faultgen.NewInjector(c, 7)
 
 	// devA: persistent corruption, later inside the service network.
 	var faultA *faultgen.ActiveFault

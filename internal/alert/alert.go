@@ -8,12 +8,12 @@
 // and folds every Problem into an incident keyed by (entity, problem
 // class). The lifecycle is a small state machine:
 //
-//	        problem seen               ResolveAfter clean windows
-//	  ──────────────► Open ──────────────────────────► Resolved
-//	                   │ ▲                                 │
-//	     Acknowledge   │ │ problem seen again (reopen)     │
-//	                   ▼ │◄────────────────────────────────┘
-//	                 Acked ──────────────────────────► Resolved
+//	      problem seen               ResolveAfter clean windows
+//	──────────────► Open ──────────────────────────► Resolved
+//	                 │ ▲                                 │
+//	   acknowledge   │ │ problem seen again (reopen)     │
+//	                 ▼ │◄────────────────────────────────┘
+//	               Acked ──────────────────────────► Resolved
 //
 // with three production refinements on top:
 //

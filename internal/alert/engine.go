@@ -350,10 +350,10 @@ func (e *Engine) archiveLocked(in *incident) {
 	e.stats.Archived++
 }
 
-// Acknowledge marks an open incident as owned by an operator. It is the
+// acknowledge marks an open incident as owned by an operator. It is the
 // console's only write besides Observe. Returns false if the incident is
 // unknown or already resolved.
-func (e *Engine) Acknowledge(id uint64, who string) bool {
+func (e *Engine) acknowledge(id uint64, who string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, in := range e.active {

@@ -261,18 +261,18 @@ func TestAcknowledge(t *testing.T) {
 	e.Observe(rep(0, devProb("a", analyzer.P1, 1)))
 
 	in := e.Incidents(Filter{})[0]
-	if !e.Acknowledge(in.ID, "oncall") {
-		t.Fatal("Acknowledge failed")
+	if !e.acknowledge(in.ID, "oncall") {
+		t.Fatal("acknowledge failed")
 	}
 	got, _ := e.Incident(in.ID)
 	if got.State != StateAcked || got.AckedBy != "oncall" {
 		t.Fatalf("after ack: %+v", got)
 	}
 	// Double-ack and unknown IDs fail.
-	if e.Acknowledge(in.ID, "again") {
+	if e.acknowledge(in.ID, "again") {
 		t.Fatal("double ack succeeded")
 	}
-	if e.Acknowledge(999, "nobody") {
+	if e.acknowledge(999, "nobody") {
 		t.Fatal("ack of unknown incident succeeded")
 	}
 	// Acked incidents still auto-resolve.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDetectAbnormalLinksEmpty(t *testing.T) {
-	if got := DetectAbnormalLinks(nil); got != nil {
+	if got := detectAbnormalLinks(nil); got != nil {
 		t.Fatalf("empty input = %v", got)
 	}
 }
@@ -21,7 +21,7 @@ func TestDetectAbnormalLinksCommonLink(t *testing.T) {
 		{3, 7, 4},
 		{5, 7, 6},
 	}
-	got := DetectAbnormalLinks(paths)
+	got := detectAbnormalLinks(paths)
 	if len(got) != 1 || got[0].Link != 7 || got[0].Votes != 3 {
 		t.Fatalf("votes = %+v", got)
 	}
@@ -32,7 +32,7 @@ func TestDetectAbnormalLinksTies(t *testing.T) {
 		{1, 2},
 		{2, 1},
 	}
-	got := DetectAbnormalLinks(paths)
+	got := detectAbnormalLinks(paths)
 	if len(got) != 2 || got[0].Link != 1 || got[1].Link != 2 {
 		t.Fatalf("tied votes = %+v", got)
 	}
@@ -54,7 +54,7 @@ func TestPropertyVotesAreMaxCounts(t *testing.T) {
 			}
 			paths = append(paths, path)
 		}
-		got := DetectAbnormalLinks(paths)
+		got := detectAbnormalLinks(paths)
 		max := 0
 		for _, c := range counts {
 			if c > max {
@@ -101,7 +101,7 @@ func TestDetectAbnormalSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := DetectAbnormalSwitches(tp, [][]topo.LinkID{p0, p1})
+	got := detectAbnormalSwitches(tp, [][]topo.LinkID{p0, p1})
 	if len(got) != 2 {
 		t.Fatalf("switch votes = %+v", got)
 	}
@@ -113,7 +113,7 @@ func TestDetectAbnormalSwitches(t *testing.T) {
 			t.Fatalf("votes = %+v", sv)
 		}
 	}
-	if DetectAbnormalSwitches(tp, nil) != nil {
+	if detectAbnormalSwitches(tp, nil) != nil {
 		t.Fatal("empty input should be nil")
 	}
 }
@@ -132,7 +132,7 @@ func TestSwitchVotesOncePerPath(t *testing.T) {
 	// Probe + ACK concatenated: a switch on both halves must still count
 	// once per concatenated path... here a doubled path simulates that.
 	doubled := append(append([]topo.LinkID{}, path...), path...)
-	got := DetectAbnormalSwitches(tp, [][]topo.LinkID{doubled})
+	got := detectAbnormalSwitches(tp, [][]topo.LinkID{doubled})
 	for _, sv := range got {
 		if sv.Votes != 1 {
 			t.Fatalf("switch %s voted %d times by one path", sv.Switch, sv.Votes)

@@ -229,14 +229,14 @@ func TestOneWayExcludedFromDelaySLA(t *testing.T) {
 	}
 }
 
-// SeriesOf projects report history into a plottable series.
+// seriesOf projects report history into a plottable series.
 func TestSeriesOf(t *testing.T) {
 	h := newHarness(t, Config{})
 	for i := 0; i < 3; i++ {
 		h.uploadAll(h.torMeshTraffic(3, nil))
 		h.tick()
 	}
-	s := h.an.SeriesOf("rtt-p50", "ns", func(w WindowReport) float64 {
+	s := h.an.seriesOf("rtt-p50", "ns", func(w WindowReport) float64 {
 		return w.Cluster.RTT.P50
 	})
 	if len(s.Points) != 3 {

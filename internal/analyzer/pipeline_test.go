@@ -119,7 +119,7 @@ func TestTieOrderingSorted(t *testing.T) {
 	paths := [][]topo.LinkID{
 		{9, 4, 7}, {7, 9, 4}, {4, 7, 9}, {9, 7, 4},
 	}
-	votes := DetectAbnormalLinks(paths)
+	votes := detectAbnormalLinks(paths)
 	if len(votes) != 3 {
 		t.Fatalf("tie set = %v", votes)
 	}

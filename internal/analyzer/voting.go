@@ -72,10 +72,10 @@ type SwitchVote struct {
 	Votes  int
 }
 
-// DetectAbnormalLinks runs Algorithm 1 over the paths of anomalous probes
+// detectAbnormalLinks runs Algorithm 1 over the paths of anomalous probes
 // and returns every link sharing the highest vote count (ties are all
 // suspicious), sorted by link ID for determinism.
-func DetectAbnormalLinks(paths [][]topo.LinkID) []LinkVote {
+func detectAbnormalLinks(paths [][]topo.LinkID) []LinkVote {
 	links, score := top(countLinkVotes(paths, 1, wholeVote))
 	var out []LinkVote
 	for _, l := range links {
@@ -84,10 +84,10 @@ func DetectAbnormalLinks(paths [][]topo.LinkID) []LinkVote {
 	return out
 }
 
-// DetectAbnormalSwitches is the footnote-5 variant: replacing "link" with
+// detectAbnormalSwitches is the footnote-5 variant: replacing "link" with
 // "switch" localizes the device instead of the cable. Each path votes for
 // every switch it traverses (at most once per path).
-func DetectAbnormalSwitches(tp *topo.Topology, paths [][]topo.LinkID) []SwitchVote {
+func detectAbnormalSwitches(tp *topo.Topology, paths [][]topo.LinkID) []SwitchVote {
 	return switchVotes(top(countSwitchVotes(tp, paths, 1)))
 }
 

@@ -120,4 +120,3 @@ func (h *harness) playQoSFault(horizon sim.Time) {
 		addIncast(onset, clear, gpuDSCP, 250, 44500)
 	}
 }
-

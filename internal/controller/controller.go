@@ -371,9 +371,8 @@ func (c *Controller) RotateInterToR() {
 	c.markTenantsDirty()
 }
 
-// InterToRTuples reports the current tuple count for a ToR (for tests and
-// the experiment harness).
-func (c *Controller) InterToRTuples(tor topo.DeviceID) int {
+// interToRTuples reports the current tuple count for a ToR (for tests).
+func (c *Controller) interToRTuples(tor topo.DeviceID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.interToR[tor])

@@ -107,7 +107,7 @@ func TestInterToRPinglists(t *testing.T) {
 		}
 	}
 	wantK := ecmp.TuplesForCoverage(n, 0.99)
-	if got := c.InterToRTuples(tor); got != wantK {
+	if got := c.interToRTuples(tor); got != wantK {
 		t.Fatalf("tuples = %d, want %d (Eq 1, N=%d)", got, wantK, n)
 	}
 

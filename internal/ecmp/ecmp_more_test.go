@@ -37,7 +37,7 @@ func TestReverseHashesIndependently(t *testing.T) {
 			netip.AddrFrom4([4]byte{10, 0, byte(i), 1}),
 			netip.AddrFrom4([4]byte{10, 1, byte(i), 2}),
 			uint16(2000+i))
-		if ft.Hasher().Choose("sw", 8) != ft.Reverse().Hasher().Choose("sw", 8) {
+		if ft.Hasher().Choose("sw", 8) != ft.reverse().Hasher().Choose("sw", 8) {
 			differs++
 		}
 	}

@@ -24,12 +24,12 @@ func TestRoCETuple(t *testing.T) {
 
 func TestReverse(t *testing.T) {
 	ft := RoCETuple(addr(10, 0, 0, 1), addr(10, 0, 0, 2), 5555)
-	r := ft.Reverse()
+	r := ft.reverse()
 	if r.SrcIP != ft.DstIP || r.DstIP != ft.SrcIP || r.SrcPort != ft.DstPort || r.DstPort != ft.SrcPort {
-		t.Fatalf("Reverse = %v", r)
+		t.Fatalf("reverse = %v", r)
 	}
-	if r.Reverse() != ft {
-		t.Fatal("double Reverse is not identity")
+	if r.reverse() != ft {
+		t.Fatal("double reverse is not identity")
 	}
 }
 

@@ -53,8 +53,8 @@ const (
 	PCIeMisconfig
 )
 
-// NumCauses is the count of distinct root causes (Table 2).
-const NumCauses = 14
+// numCauses is the count of distinct root causes (Table 2).
+const numCauses = 14
 
 func (c Cause) String() string {
 	switch c {
@@ -175,9 +175,6 @@ type Injector struct {
 func NewInjector(c *core.Cluster, seed int64) *Injector {
 	return &Injector{c: c, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Active returns currently injected faults.
-func (in *Injector) Active() []*ActiveFault { return in.active }
 
 // History returns every fault ever injected (including cleared ones).
 func (in *Injector) History() []*ActiveFault { return in.history }

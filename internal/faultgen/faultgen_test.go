@@ -49,8 +49,8 @@ func TestCauseStringsAndCategories(t *testing.T) {
 			t.Fatalf("CategoryOf(%v) = %v, want %v", c, got, want)
 		}
 	}
-	if NumCauses != int(PCIeMisconfig) {
-		t.Fatalf("NumCauses = %d, want %d", NumCauses, int(PCIeMisconfig))
+	if numCauses != int(PCIeMisconfig) {
+		t.Fatalf("numCauses = %d, want %d", numCauses, int(PCIeMisconfig))
 	}
 }
 
@@ -65,7 +65,7 @@ func TestInjectAndClearRNICDown(t *testing.T) {
 	if c.Device(dev).Up() {
 		t.Fatal("device still up")
 	}
-	if len(in.Active()) != 1 || len(in.History()) != 1 {
+	if len(in.active) != 1 || len(in.History()) != 1 {
 		t.Fatal("bookkeeping wrong")
 	}
 	c.Run(sim.Second) // advance so Cleared gets a nonzero stamp
@@ -73,7 +73,7 @@ func TestInjectAndClearRNICDown(t *testing.T) {
 	if !c.Device(dev).Up() {
 		t.Fatal("device still down after clear")
 	}
-	if len(in.Active()) != 0 {
+	if len(in.active) != 0 {
 		t.Fatal("still active after clear")
 	}
 	if af.Cleared == 0 {
@@ -103,7 +103,7 @@ func TestInjectValidatesTargets(t *testing.T) {
 			t.Errorf("case %d: Inject(%+v) succeeded", i, f)
 		}
 	}
-	if len(in.Active()) != 0 {
+	if len(in.active) != 0 {
 		t.Fatal("failed injections left active faults")
 	}
 }
@@ -306,7 +306,7 @@ func TestPlayInjectsAndClears(t *testing.T) {
 	if !c.Device(dev).Up() {
 		t.Fatal("fault not cleared on schedule")
 	}
-	if len(in.Active()) != 0 {
+	if len(in.active) != 0 {
 		t.Fatal("active faults remain")
 	}
 }
@@ -321,7 +321,7 @@ func TestClearAll(t *testing.T) {
 		}
 	}
 	in.ClearAll()
-	if len(in.Active()) != 0 {
+	if len(in.active) != 0 {
 		t.Fatal("ClearAll left faults")
 	}
 	for i := 0; i < 3; i++ {

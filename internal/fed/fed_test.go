@@ -101,7 +101,7 @@ func requireConverged(t *testing.T, d *Deploy) {
 		}
 		if r.TimelineDigest() != r0.TimelineDigest() {
 			t.Fatalf("replica %d timeline diverged:\n%s\nvs replica 0:\n%s",
-				i, strings.Join(r.Timeline(), "\n"), strings.Join(r0.Timeline(), "\n"))
+				i, strings.Join(r.timeline, "\n"), strings.Join(r0.timeline, "\n"))
 		}
 	}
 	for i := 0; i < d.Nodes(); i++ {
@@ -123,7 +123,7 @@ func TestFedQuorumOpensAndResolves(t *testing.T) {
 	d.Run(6)
 
 	key := fmt.Sprintf("link:%d/switch-link", int(link))
-	tl := d.Node(0).Replica().Timeline()
+	tl := d.Node(0).Replica().timeline
 	if n := countEvents(tl, "open", key); n != 1 {
 		t.Fatalf("after fault: %d incident opens for %s, want exactly 1; timeline:\n%s",
 			n, key, strings.Join(tl, "\n"))
@@ -135,7 +135,7 @@ func TestFedQuorumOpensAndResolves(t *testing.T) {
 	// VoteOverlap keeps stale votes eligible for 4 windows, then the
 	// engine needs ResolveAfter clean windows: give it room.
 	d.Run(10)
-	tl = d.Node(0).Replica().Timeline()
+	tl = d.Node(0).Replica().timeline
 	if opens, resolves := countEvents(tl, "open", key), countEvents(tl, "resolve", key); opens != 1 || resolves != 1 {
 		t.Fatalf("after clear: %d opens and %d resolves for %s, want exactly 1 each; timeline:\n%s",
 			opens, resolves, key, strings.Join(tl, "\n"))
@@ -185,14 +185,14 @@ func TestFedSingleVantageClamp(t *testing.T) {
 
 	entity := "dev:" + string(dev)
 	opened := false
-	for _, line := range d.Node(0).Replica().Timeline() {
+	for _, line := range d.Node(0).Replica().timeline {
 		if strings.Contains(line, "open") && strings.Contains(line, entity) {
 			opened = true
 		}
 	}
 	if !opened {
 		t.Fatalf("single-vantage entity %s never opened globally; timeline:\n%s",
-			entity, strings.Join(d.Node(0).Replica().Timeline(), "\n"))
+			entity, strings.Join(d.Node(0).Replica().timeline, "\n"))
 	}
 	requireConverged(t, d)
 }
@@ -214,7 +214,7 @@ func TestFedSuppressesSingleNodeFalsePositive(t *testing.T) {
 	requireConverged(t, dA)
 
 	fmt.Fprintf(&out, "== single-vantage fault (node 1 only): global timeline ==\n")
-	writeTimeline(&out, dA.Node(0).Replica().Timeline())
+	writeTimeline(&out, dA.Node(0).Replica().timeline)
 	locals := dA.Node(1).Cluster.Alerts.Incidents(alert.Filter{})
 	localKeys := make([]string, 0, len(locals))
 	for _, in := range locals {
@@ -230,7 +230,7 @@ func TestFedSuppressesSingleNodeFalsePositive(t *testing.T) {
 	for _, k := range localKeys {
 		fmt.Fprintf(&out, "%s\n", k)
 	}
-	for _, line := range dA.Node(0).Replica().Timeline() {
+	for _, line := range dA.Node(0).Replica().timeline {
 		if strings.Contains(line, "open") {
 			t.Fatalf("single-vantage fault opened a global incident: %s", line)
 		}
@@ -244,9 +244,9 @@ func TestFedSuppressesSingleNodeFalsePositive(t *testing.T) {
 	dB.Run(8)
 	requireConverged(t, dB)
 	fmt.Fprintf(&out, "== same fault on all 3 vantage points: global timeline ==\n")
-	writeTimeline(&out, dB.Node(0).Replica().Timeline())
+	writeTimeline(&out, dB.Node(0).Replica().timeline)
 	openedGlobal := false
-	for _, line := range dB.Node(0).Replica().Timeline() {
+	for _, line := range dB.Node(0).Replica().timeline {
 		if strings.Contains(line, "open") {
 			openedGlobal = true
 		}
@@ -331,7 +331,7 @@ func TestFedFailoverReconcile(t *testing.T) {
 	// nor double-opened it.
 	entity := fmt.Sprintf("link:%d", int(link))
 	opens, resolves := 0, 0
-	for _, line := range d.Node(0).Replica().Timeline() {
+	for _, line := range d.Node(0).Replica().timeline {
 		if !strings.Contains(line, entity) {
 			continue
 		}
@@ -344,7 +344,7 @@ func TestFedFailoverReconcile(t *testing.T) {
 	}
 	if opens != 1 || resolves != 1 {
 		t.Fatalf("want exactly one open and one resolve for %s across failover, got %d/%d; timeline:\n%s",
-			entity, opens, resolves, strings.Join(d.Node(0).Replica().Timeline(), "\n"))
+			entity, opens, resolves, strings.Join(d.Node(0).Replica().timeline, "\n"))
 	}
 }
 

@@ -117,17 +117,8 @@ func (r *Replica) AppliedSeq() uint64 { return r.applied }
 // Digest is the hash-chain head after the last applied round.
 func (r *Replica) Digest() uint64 { return r.digest }
 
-// VotesCounted is the total number of votes folded from committed
-// rounds since birth (conservation's "counted" leg).
-func (r *Replica) VotesCounted() uint64 { return r.votesCounted }
-
 // Drops snapshots the commit path's drop accounting.
 func (r *Replica) Drops() DropStats { return r.drops }
-
-// Timeline returns a copy of the alert transition log.
-func (r *Replica) Timeline() []string {
-	return append([]string(nil), r.timeline...)
-}
 
 // TimelineDigest summarizes the whole incident history in one value.
 func (r *Replica) TimelineDigest() uint64 { return r.tlDigest }

@@ -49,20 +49,20 @@ func TestReplicaQuorumRule(t *testing.T) {
 	if _, err := r.Commit(0, 0, []proto.VoteBatch{b0, b1, b2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.Timeline()); got != 0 {
-		t.Fatalf("single vote among three covering nodes opened an incident: %v", r.Timeline())
+	if got := len(r.timeline); got != 0 {
+		t.Fatalf("single vote among three covering nodes opened an incident: %v", r.timeline)
 	}
 
 	// Window 1: a second node votes — quorum met, incident opens.
 	if _, err := r.Commit(0, 1, []proto.VoteBatch{testBatch(0, 1, "link:7"), testBatch(1, 1, "link:7")}); err != nil {
 		t.Fatal(err)
 	}
-	tl := r.Timeline()
+	tl := r.timeline
 	if len(tl) != 1 || !strings.Contains(tl[0], "open") || !strings.Contains(tl[0], "link:7") {
 		t.Fatalf("quorum votes did not open exactly one incident: %v", tl)
 	}
-	if r.VotesCounted() != 3 {
-		t.Fatalf("VotesCounted = %d, want 3", r.VotesCounted())
+	if r.votesCounted != 3 {
+		t.Fatalf("VotesCounted = %d, want 3", r.votesCounted)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestReplicaRejectsTamperedBatch(t *testing.T) {
 	if d := r.Drops(); d.Rejected != 1 {
 		t.Fatalf("tampered batch not rejected: %+v", d)
 	}
-	if r.VotesCounted() != 0 {
+	if r.votesCounted != 0 {
 		t.Fatal("tampered vote was counted")
 	}
 
@@ -113,8 +113,8 @@ func TestReplicaDedupAndExpiry(t *testing.T) {
 	if d := r.Drops(); d.Expired != 1 {
 		t.Fatalf("stale batch not expired: %+v", d)
 	}
-	if r.VotesCounted() != 1 {
-		t.Fatalf("VotesCounted = %d, want 1 (only the first commit)", r.VotesCounted())
+	if r.votesCounted != 1 {
+		t.Fatalf("VotesCounted = %d, want 1 (only the first commit)", r.votesCounted)
 	}
 }
 
@@ -193,12 +193,12 @@ func TestReplicaQuorumClampsToCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, l := range r.Timeline() {
+	for _, l := range r.timeline {
 		if strings.Contains(l, "open") && strings.Contains(l, "dev:lonely") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("single-coverage entity never opened: %v", r.Timeline())
+		t.Fatalf("single-coverage entity never opened: %v", r.timeline)
 	}
 }

@@ -184,9 +184,9 @@ func (c *Counter) Observe(bad bool) {
 	}
 }
 
-// AddGood and AddBad record batches.
-func (c *Counter) AddGood(n int64) { c.Total += n }
-func (c *Counter) AddBad(n int64)  { c.Total += n; c.Bad += n }
+// addGood and addBad record batches.
+func (c *Counter) addGood(n int64) { c.Total += n }
+func (c *Counter) addBad(n int64)  { c.Total += n; c.Bad += n }
 
 // Rate returns Bad/Total, or 0 when empty.
 func (c *Counter) Rate() float64 {
@@ -259,9 +259,9 @@ func (s *Series) MeanOver(from, to float64) float64 {
 	return sum / float64(n)
 }
 
-// MinOver and MaxOver return extrema of values with T in [from, to);
+// minOver and maxOver return extrema of values with T in [from, to);
 // both return 0 when the window is empty.
-func (s *Series) MinOver(from, to float64) float64 {
+func (s *Series) minOver(from, to float64) float64 {
 	m, ok := math.Inf(1), false
 	for _, p := range s.Points {
 		if p.T >= from && p.T < to {
@@ -275,7 +275,7 @@ func (s *Series) MinOver(from, to float64) float64 {
 	return m
 }
 
-func (s *Series) MaxOver(from, to float64) float64 {
+func (s *Series) maxOver(from, to float64) float64 {
 	m, ok := math.Inf(-1), false
 	for _, p := range s.Points {
 		if p.T >= from && p.T < to {

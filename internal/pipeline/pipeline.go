@@ -371,8 +371,8 @@ func PartitionKey(key string, n int) int {
 	return int(h % uint64(n))
 }
 
-// PartitionOf reports which shard a host's uploads land on.
-func (p *Pipeline) PartitionOf(host string) int {
+// partitionOf reports which shard a host's uploads land on.
+func (p *Pipeline) partitionOf(host string) int {
 	return PartitionKey(host, len(p.parts))
 }
 

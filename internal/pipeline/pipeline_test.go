@@ -245,8 +245,8 @@ func TestPartitioningIsStableAndSpread(t *testing.T) {
 	used := make(map[int]bool)
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("host-%d", i)
-		pi := p.PartitionOf(name)
-		if pi != p.PartitionOf(name) {
+		pi := p.partitionOf(name)
+		if pi != p.partitionOf(name) {
 			t.Fatal("partition not stable")
 		}
 		if pi < 0 || pi >= 8 {

@@ -136,9 +136,6 @@ func (r *Records) ResponderDelay(i int) sim.Time { return r.respd[i] }
 // OneWayDelay returns record i's one-way latency (one-way probes only).
 func (r *Records) OneWayDelay(i int) sim.Time { return r.oneway[i] }
 
-// Flags returns record i's raw flag byte.
-func (r *Records) Flags(i int) uint8 { return r.flags[i] }
-
 // Append adds one record referencing route table entry route.
 func (r *Records) Append(route int32, seq uint64, sentAt sim.Time, flags uint8, rtt, probd, respd, oneway sim.Time) {
 	r.routeIdx = append(r.routeIdx, route)

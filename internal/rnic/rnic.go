@@ -332,12 +332,6 @@ func (q *QP) QPN() QPN { return q.qpn }
 // Type returns the transport type.
 func (q *QP) Type() QPType { return q.typ }
 
-// Connected reports whether a connected QP has been transitioned to RTS.
-func (q *QP) Connected() bool { return q.connected }
-
-// Broken reports whether an RC connection died of retry exhaustion.
-func (q *QP) Broken() bool { return q.broken }
-
 // OnCompletion registers the completion handler. CQEs are delivered
 // synchronously at the simulation instant they are generated; the caller
 // models any host-side polling delay itself.

@@ -246,7 +246,7 @@ func TestRetryBudgetVsFlapWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Run()
-		return qa.Broken(), delivered
+		return qa.broken, delivered
 	}
 
 	// Default-ish RTO: the retry budget burns out inside the flap.

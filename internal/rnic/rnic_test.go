@@ -214,7 +214,7 @@ func TestRCRetransmissionAndBreak(t *testing.T) {
 	if status != StatusRetryExceeded {
 		t.Fatalf("status = %v, want StatusRetryExceeded", status)
 	}
-	if !qa.Broken() {
+	if !qa.broken {
 		t.Fatal("QP not broken after retry exhaustion")
 	}
 	if a.Counters.RCRetransmits != 7 {
@@ -255,7 +255,7 @@ func TestRCRecoversWhenNetworkHeals(t *testing.T) {
 	if status != StatusOK {
 		t.Fatalf("status = %v, want OK after healing", status)
 	}
-	if qa.Broken() {
+	if qa.broken {
 		t.Fatal("QP broken despite successful retransmit")
 	}
 	if a.Counters.RCRetransmits == 0 {
@@ -433,7 +433,7 @@ func TestConnectValidation(t *testing.T) {
 	if err := rc.PostSend(SendRequest{SrcPort: 1}); err == nil {
 		t.Fatal("send on unconnected RC QP succeeded")
 	}
-	if rc.Connected() {
+	if rc.connected {
 		t.Fatal("unconnected QP reports connected")
 	}
 	udNoDst := a.CreateQP(UD)

@@ -34,8 +34,8 @@ const (
 	Hour             = 60 * Minute
 )
 
-// FromDuration converts a time.Duration to a sim.Time.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
+// fromDuration converts a time.Duration to a sim.Time.
+func fromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Duration converts a sim.Time to a time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
@@ -234,10 +234,6 @@ func (e *Engine) Now() Time { return e.now }
 // randomness from it (or from SubRand) so runs are reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Shard returns the engine's shard index: -1 for a standalone engine or a
-// sharded group's fabric shard, 0..N-1 for pod shards.
-func (e *Engine) Shard() int { return e.shard }
-
 // SubRand returns an independent random stream deterministically derived
 // from the engine seed and the given label, so adding randomness in one
 // module does not perturb another. All engines of a ShardedEngine share one
@@ -392,12 +388,12 @@ func (e *Engine) Stop() { e.stopped = true }
 // Fired reports how many events have executed.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are queued (including cancelled ones not
+// pending reports how many events are queued (including cancelled ones not
 // yet reaped).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) pending() int { return len(e.queue) }
 
-// Live reports how many non-cancelled events are queued.
-func (e *Engine) Live() int { return len(e.queue) - e.deadCount }
+// live reports how many non-cancelled events are queued.
+func (e *Engine) live() int { return len(e.queue) - e.deadCount }
 
 // nextAt reports the time of the earliest live event, reaping any
 // cancelled records that have bubbled to the top.

@@ -61,7 +61,7 @@ func (e *refEngine) Now() Time     { return e.now }
 func (e *refEngine) Fired() uint64 { return e.fired }
 func (e *refEngine) Stop()         { e.stopped = true }
 
-func (e *refEngine) Live() int {
+func (e *refEngine) live() int {
 	n := 0
 	for _, ev := range e.queue {
 		if !ev.dead {
@@ -132,7 +132,7 @@ type scheduler interface {
 	Stop()
 	RunUntil(deadline Time)
 	Fired() uint64
-	Live() int
+	live() int
 }
 
 type engineSched struct{ *Engine }
@@ -210,7 +210,7 @@ func oracleScript(s scheduler, seed int64) []string {
 			for _, c := range doomed[:10_000] {
 				c()
 			}
-			log = append(log, fmt.Sprintf("%d burst live=%d", now, s.Live()))
+			log = append(log, fmt.Sprintf("%d burst live=%d", now, s.live()))
 		}
 		switch x := r.Intn(100); {
 		case x < 3 && ids < budget:
@@ -234,9 +234,9 @@ func oracleScript(s scheduler, seed int64) []string {
 	for i := 0; i < 8; i++ {
 		schedule(Time(10 * r.Intn(100)))
 	}
-	for d := Time(0); s.Live() > 0; d += Time(10 * (1 + r.Intn(2000))) {
+	for d := Time(0); s.live() > 0; d += Time(10 * (1 + r.Intn(2000))) {
 		s.RunUntil(d)
-		log = append(log, fmt.Sprintf("until %d now=%d fired=%d live=%d", d, s.Now(), s.Fired(), s.Live()))
+		log = append(log, fmt.Sprintf("until %d now=%d fired=%d live=%d", d, s.Now(), s.Fired(), s.live()))
 		if r.Intn(4) == 0 {
 			// Between runs, stop every ticker so the script terminates
 			// once the one-shot budget is spent.
@@ -267,8 +267,8 @@ func TestHeapMatchesOracle(t *testing.T) {
 		if !slices.ContainsFunc(got, func(l string) bool { return strings.Contains(l, "burst") }) {
 			t.Fatalf("seed %d: the compaction burst never ran", seed)
 		}
-		if e.Pending() != 0 || len(e.free) == 0 {
-			t.Fatalf("seed %d: pending=%d free=%d after drain", seed, e.Pending(), len(e.free))
+		if e.pending() != 0 || len(e.free) == 0 {
+			t.Fatalf("seed %d: pending=%d free=%d after drain", seed, e.pending(), len(e.free))
 		}
 	}
 }

@@ -152,8 +152,8 @@ func TestStop(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("ran %d events after Stop, want 1", n)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.pending() != 1 {
+		t.Fatalf("pending = %d, want 1", e.pending())
 	}
 }
 
@@ -197,8 +197,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestDurationConversions(t *testing.T) {
-	if FromDuration(500*time.Millisecond) != 500*Millisecond {
-		t.Fatal("FromDuration(500ms)")
+	if fromDuration(500*time.Millisecond) != 500*Millisecond {
+		t.Fatal("fromDuration(500ms)")
 	}
 	if (2 * Second).Duration() != 2*time.Second {
 		t.Fatal("Duration(2s)")

@@ -19,11 +19,11 @@ func TestCancelBoundedHeap(t *testing.T) {
 	for _, h := range handles {
 		h.Cancel()
 	}
-	if got := e.Pending(); got > n/2 {
+	if got := e.pending(); got > n/2 {
 		t.Fatalf("heap holds %d entries after cancelling %d timers; compaction did not run", got, n)
 	}
-	if got := e.Live(); got != 1 {
-		t.Fatalf("Live() = %d, want 1 (the sentinel)", got)
+	if got := e.live(); got != 1 {
+		t.Fatalf("live() = %d, want 1 (the sentinel)", got)
 	}
 
 	// Steady-state churn: schedule+cancel in a loop must not grow the heap.
@@ -31,7 +31,7 @@ func TestCancelBoundedHeap(t *testing.T) {
 		h := e.After(Hour, func() {})
 		h.Cancel()
 	}
-	if got := e.Pending(); got > compactMinHeap+1 {
+	if got := e.pending(); got > compactMinHeap+1 {
 		t.Fatalf("heap grew to %d entries under schedule/cancel churn", got)
 	}
 
@@ -61,8 +61,8 @@ func TestHandleGenerations(t *testing.T) {
 		t.Fatalf("ran = %d, want 11 (stale handle cancelled a recycled event?)", ran)
 	}
 	h2.Cancel() // cancelling after firing is still a no-op
-	if e.Live() != 0 {
-		t.Fatalf("Live() = %d, want 0", e.Live())
+	if e.live() != 0 {
+		t.Fatalf("live() = %d, want 0", e.live())
 	}
 }
 
@@ -77,8 +77,8 @@ func TestDoubleCancelAccounting(t *testing.T) {
 		t.Fatalf("deadCount = %d after double cancel, want 1", e.deadCount)
 	}
 	e.Run()
-	if e.deadCount != 0 || e.Pending() != 0 {
-		t.Fatalf("deadCount=%d pending=%d after run, want 0/0", e.deadCount, e.Pending())
+	if e.deadCount != 0 || e.pending() != 0 {
+		t.Fatalf("deadCount=%d pending=%d after run, want 0/0", e.deadCount, e.pending())
 	}
 }
 

@@ -74,8 +74,8 @@ func (n *Net) initQoS() {
 	}
 }
 
-// QoSEnabled reports whether the per-priority model is active.
-func (n *Net) QoSEnabled() bool { return n.qos != nil }
+// qosEnabled reports whether the per-priority model is active.
+func (n *Net) qosEnabled() bool { return n.qos != nil }
 
 // ClassOf maps a DSCP codepoint to its traffic class (0 when disabled).
 func (n *Net) ClassOf(dscp uint8) int {
@@ -96,35 +96,17 @@ func (n *Net) ClassQueueBytesOn(l topo.LinkID, c int) float64 {
 	return n.qos.Ports[l].Bytes[c]
 }
 
-// ClassPausedOn reports whether a directed link's egress is PFC-paused
+// classPausedOn reports whether a directed link's egress is PFC-paused
 // for a class.
-func (n *Net) ClassPausedOn(l topo.LinkID, c int) bool {
+func (n *Net) classPausedOn(l topo.LinkID, c int) bool {
 	if n.qos == nil {
 		return false
 	}
 	return n.qos.Ports[l].Paused[c]
 }
 
-// ClassDelayOn reports the per-hop delay a packet of the given class sees
-// crossing a directed link right now.
-func (n *Net) ClassDelayOn(l topo.LinkID, c int) sim.Time {
-	if n.qos == nil {
-		return n.queueDelay(n.links[l])
-	}
-	return n.classDelay(l, c)
-}
-
-// HeadroomDropBytesOn reports fluid bytes a class lost to headroom
-// overrun on a directed link (ground truth; zero on a healthy fabric).
-func (n *Net) HeadroomDropBytesOn(l topo.LinkID, c int) float64 {
-	if n.qos == nil {
-		return 0
-	}
-	return n.qos.Ports[l].HeadroomDropBytes[c]
-}
-
 // InjectClassQueue adds standing queue to one class of a directed link —
-// the per-priority analogue of InjectQueue, used to seed class-selective
+// the per-priority analogue of injectQueue, used to seed class-selective
 // PFC storms.
 func (n *Net) InjectClassQueue(l topo.LinkID, c int, bytes float64) {
 	if n.qos == nil {

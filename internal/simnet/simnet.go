@@ -513,10 +513,10 @@ func (n *Net) SetPFCBlocked(l topo.LinkID, blocked bool) {
 // misconfigured PFC headroom (#9): it drops during heavy congestion.
 func (n *Net) SetBadHeadroom(l topo.LinkID, bad bool) { n.links[l].badHeadroom = bad }
 
-// InjectQueue adds standing queue to a directed link. Used to model
+// injectQueue adds standing queue to a directed link. Used to model
 // PFC storms from intra-host bottlenecks (#13/#14): the RNIC cannot drain,
 // pause frames propagate, and queues build toward that RNIC.
-func (n *Net) InjectQueue(l topo.LinkID, bytes float64) {
+func (n *Net) injectQueue(l topo.LinkID, bytes float64) {
 	if n.qos != nil {
 		// Per-priority fabric: legacy injections land on the default class.
 		n.InjectClassQueue(l, 0, bytes)

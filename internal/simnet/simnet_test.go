@@ -416,7 +416,7 @@ func TestBadHeadroomDropsOnlyUnderCongestion(t *testing.T) {
 	// expect drops.
 	dropped := 0
 	for i := 0; i < 200; i++ {
-		r.net.InjectQueue(victim, 1e12) // clamped to max
+		r.net.injectQueue(victim, 1e12) // clamped to max
 		if ok, _ := r.sendProbe(t, a, b, 8); !ok {
 			dropped++
 		}
@@ -432,7 +432,7 @@ func TestBadHeadroomDropsOnlyUnderCongestion(t *testing.T) {
 func TestInjectQueueClampsAndDelays(t *testing.T) {
 	r := newRig(t, Config{MaxQueueBytes: 1000})
 	l := topo.LinkID(0)
-	r.net.InjectQueue(l, 5000)
+	r.net.injectQueue(l, 5000)
 	if got := r.net.QueueBytesOn(l); got != 1000 {
 		t.Fatalf("queue = %v, want clamp at 1000", got)
 	}

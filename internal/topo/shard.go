@@ -49,12 +49,12 @@ type Sharding struct {
 	PairMinLinks [][]int
 }
 
-// PairLinks answers the engine's cross-shard horizon query: the minimum
+// pairLinks answers the engine's cross-shard horizon query: the minimum
 // number of links an event in shard from must traverse to cause an event
 // in shard to. Zero means "cannot interact" (same shard, no path, or no
 // pairwise data) — callers must treat that as an unbounded horizon only
 // when from != to and PairMinLinks was computed.
-func (s *Sharding) PairLinks(from, to int) int {
+func (s *Sharding) pairLinks(from, to int) int {
 	if from == to || from < 0 || to < 0 ||
 		from >= len(s.PairMinLinks) || to >= len(s.PairMinLinks) {
 		return 0
@@ -200,13 +200,13 @@ func (t *Topology) pairMinLinks(s *Sharding) [][]int {
 	return pair
 }
 
-// Lookahead returns the minimum cross-shard propagation delay: the
+// lookahead returns the minimum cross-shard propagation delay: the
 // smallest perLink value over the partition's cross-shard edges. This is
 // the per-link (hop-by-hop) lookahead bound of the classic conservative
 // PDES formulation; the packet-granular engine in this repo can use the
 // stronger MinCrossPathLinks × propagation bound because simnet delivers
 // end-to-end in one event.
-func (s *Sharding) Lookahead(perLink func(LinkID) int64) int64 {
+func (s *Sharding) lookahead(perLink func(LinkID) int64) int64 {
 	min := int64(0)
 	for i, l := range s.CrossEdges {
 		d := perLink(l)

@@ -93,8 +93,8 @@ func TestPartitionLookahead(t *testing.T) {
 					want, first = d, false
 				}
 			}
-			if got := sh.Lookahead(perLink); got != want {
-				t.Fatalf("Lookahead = %d, brute force = %d", got, want)
+			if got := sh.lookahead(perLink); got != want {
+				t.Fatalf("lookahead = %d, brute force = %d", got, want)
 			}
 
 			if bf := bruteForceCrossDistance(topo, &sh); sh.MinCrossPathLinks != bf {
@@ -143,7 +143,7 @@ func bruteForceCrossDistance(t *Topology, sh *Sharding) int {
 
 // TestPairMinLinks: the directed per-pair distance matrix matches a
 // per-RNIC brute force, its off-diagonal minimum is MinCrossPathLinks,
-// the diagonal is zero, and PairLinks answers horizon queries with the
+// the diagonal is zero, and pairLinks answers horizon queries with the
 // documented bounds behavior.
 func TestPairMinLinks(t *testing.T) {
 	for _, pods := range []int{2, 4, 8} {
@@ -161,8 +161,8 @@ func TestPairMinLinks(t *testing.T) {
 				min := 0
 				for a := 0; a < sh.Shards; a++ {
 					for b := 0; b < sh.Shards; b++ {
-						if got := sh.PairLinks(a, b); got != sh.PairMinLinks[a][b] {
-							t.Fatalf("PairLinks(%d,%d) = %d, matrix says %d", a, b, got, sh.PairMinLinks[a][b])
+						if got := sh.pairLinks(a, b); got != sh.PairMinLinks[a][b] {
+							t.Fatalf("pairLinks(%d,%d) = %d, matrix says %d", a, b, got, sh.PairMinLinks[a][b])
 						}
 						if a == b {
 							if sh.PairMinLinks[a][b] != 0 {
@@ -190,8 +190,8 @@ func TestPairMinLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range [][2]int{{0, 0}, {-1, 1}, {1, -1}, {0, 99}, {99, 0}} {
-		if got := sh.PairLinks(q[0], q[1]); got != 0 {
-			t.Fatalf("PairLinks(%d,%d) = %d, want 0", q[0], q[1], got)
+		if got := sh.pairLinks(q[0], q[1]); got != 0 {
+			t.Fatalf("pairLinks(%d,%d) = %d, want 0", q[0], q[1], got)
 		}
 	}
 }

@@ -163,11 +163,8 @@ func (t *Topology) AllHosts() []HostID {
 	return out
 }
 
-// Cables returns the number of physical cables.
-func (t *Topology) Cables() int { return t.cables }
-
-// RNICByIP resolves an RNIC by its IP address.
-func (t *Topology) RNICByIP(ip netip.Addr) (*RNIC, bool) {
+// rnicByIP resolves an RNIC by its IP address.
+func (t *Topology) rnicByIP(ip netip.Addr) (*RNIC, bool) {
 	for _, r := range t.RNICs {
 		if r.IP == ip {
 			return r, true

@@ -45,8 +45,8 @@ func TestCablePairing(t *testing.T) {
 	for _, l := range tp.Links {
 		byCable[l.Cable] = append(byCable[l.Cable], l.ID)
 	}
-	if len(byCable) != tp.Cables() {
-		t.Fatalf("cable count mismatch: %d vs %d", len(byCable), tp.Cables())
+	if len(byCable) != tp.cables {
+		t.Fatalf("cable count mismatch: %d vs %d", len(byCable), tp.cables)
 	}
 	for cable, links := range byCable {
 		if len(links) != 2 {

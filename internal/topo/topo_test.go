@@ -40,7 +40,7 @@ func TestBuildClosCounts(t *testing.T) {
 		t.Fatalf("Switches = %d, want 12", got)
 	}
 	// Cables: 16 host + (4 tors x 2 aggs)=8 + (4 aggs x 2 spines-per-plane)=8.
-	if got := tp.Cables(); got != 32 {
+	if got := tp.cables; got != 32 {
 		t.Fatalf("Cables = %d, want 32", got)
 	}
 	if got := len(tp.Links); got != 64 {
@@ -97,13 +97,13 @@ func TestRNICByIP(t *testing.T) {
 	tp := smallClos(t)
 	for _, id := range tp.AllRNICs() {
 		r := tp.RNICs[id]
-		got, ok := tp.RNICByIP(r.IP)
+		got, ok := tp.rnicByIP(r.IP)
 		if !ok || got.ID != id {
-			t.Fatalf("RNICByIP(%v) = %v, %v", r.IP, got, ok)
+			t.Fatalf("rnicByIP(%v) = %v, %v", r.IP, got, ok)
 		}
 	}
-	if _, ok := tp.RNICByIP(ipv4(0x01020304)); ok {
-		t.Fatal("RNICByIP of unknown IP succeeded")
+	if _, ok := tp.rnicByIP(ipv4(0x01020304)); ok {
+		t.Fatal("rnicByIP of unknown IP succeeded")
 	}
 }
 

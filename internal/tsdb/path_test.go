@@ -42,8 +42,8 @@ func TestIngestPerPathSeries(t *testing.T) {
 	if len(pathSeries) != 2 {
 		t.Fatalf("want 2 per-path series, got %v", pathSeries)
 	}
-	fastName := PathSeriesName(b.Route(fast))
-	slowName := PathSeriesName(b.Route(slow))
+	fastName := pathSeriesName(b.Route(fast))
+	slowName := pathSeriesName(b.Route(slow))
 	if fastName == slowName {
 		t.Fatalf("distinct paths keyed identically: %s", fastName)
 	}
@@ -65,7 +65,7 @@ func TestIngestPerPathSeries(t *testing.T) {
 	})
 	b2.Append(again, 0, 2*sim.Second, 0, 30_000, 0, 0, 0)
 	db.IngestRecords(b2)
-	if got := PathSeriesName(b2.Route(again)); got != fastName {
+	if got := pathSeriesName(b2.Route(again)); got != fastName {
 		t.Fatalf("stable path keyed differently across batches: %s vs %s", got, fastName)
 	}
 	count := 0
@@ -109,14 +109,14 @@ func TestIngestPathBudgetInvariant(t *testing.T) {
 	ri := b.AddRoute(proto.Route{SrcDev: "rnic-0", DstDev: "rnic-9", ProbePath: []topo.LinkID{9999}})
 	b.Append(ri, 0, b.Sent, proto.RecTimeout, 0, 0, 0, 0)
 	db.IngestRecords(b)
-	if _, ok := db.Latest(PathSeriesName(b.Route(ri))); ok {
+	if _, ok := db.Latest(pathSeriesName(b.Route(ri))); ok {
 		t.Fatal("timeout-only path grew a sketch series")
 	}
 }
 
 // TestPathSeriesResolution is a property test of IngestRecords' cached
 // series resolution over random routes: every route resolves to exactly
-// PathSeriesName(rt), routes with equal (src, dst, path) share one series
+// pathSeriesName(rt), routes with equal (src, dst, path) share one series
 // whichever slices carry the path, and the journal holds exactly the
 // entries a per-record name build would write, in the same order.
 func TestPathSeriesResolution(t *testing.T) {
@@ -148,7 +148,7 @@ func TestPathSeriesResolution(t *testing.T) {
 				v := float64(b.NetworkRTT(i))
 				want = append(want,
 					journalEntry{op: opSketch, name: "ingest.rtt." + string(b.Host), t: b.Sent, v: v},
-					journalEntry{op: opSketch, name: PathSeriesName(rt), t: b.Sent, v: v})
+					journalEntry{op: opSketch, name: pathSeriesName(rt), t: b.Sent, v: v})
 			}
 		}
 		db.IngestRecords(b)
@@ -157,7 +157,7 @@ func TestPathSeriesResolution(t *testing.T) {
 		for ri := int32(0); ri < int32(b.Routes()); ri++ {
 			rt := b.Route(ri)
 			ns := db.pathSketchLocked(rt)
-			if name := PathSeriesName(rt); ns.name != name || db.sk[name] != ns.ss {
+			if name := pathSeriesName(rt); ns.name != name || db.sk[name] != ns.ss {
 				t.Fatalf("batch %d route %d resolves to %q, want %q", bi, ri, ns.name, name)
 			}
 			k := pathKey{src: rt.SrcDev, dst: rt.DstDev, hash: pathHash(rt.ProbePath)}

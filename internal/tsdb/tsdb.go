@@ -334,12 +334,12 @@ func (db *DB) AppendSketch(name string, t sim.Time, v float64) {
 	db.journal(opSketch, name, t, v)
 }
 
-// PathSeriesName keys a sketch series by an interned route's forward
+// pathSeriesName keys a sketch series by an interned route's forward
 // path: "path.rtt.<srcDev>><dstDev>.<fnv64a of ProbePath>". Distinct
 // ECMP paths between the same device pair land in distinct series, so
 // per-path tail latency stays queryable across route churn (the paper's
 // five-tuple path identity, collapsed to the traced link sequence).
-func PathSeriesName(rt *proto.Route) string {
+func pathSeriesName(rt *proto.Route) string {
 	return pathName(rt.SrcDev, rt.DstDev, pathHash(rt.ProbePath))
 }
 
@@ -386,7 +386,7 @@ func (db *DB) hostSketchLocked(host topo.HostID) namedSketch {
 	return ns
 }
 
-// pathSketchLocked resolves a route's PathSeriesName series. Caller holds
+// pathSketchLocked resolves a route's pathSeriesName series. Caller holds
 // db.mu for writing.
 func (db *DB) pathSketchLocked(rt *proto.Route) namedSketch {
 	k := pathKey{src: rt.SrcDev, dst: rt.DstDev, hash: pathHash(rt.ProbePath)}
@@ -402,7 +402,7 @@ func (db *DB) pathSketchLocked(rt *proto.Route) namedSketch {
 // IngestRecords implements proto.RecordSink: the ingest spine feeds
 // delivered record batches straight into the sketch tier — one RTT
 // quantile sketch per source host ("ingest.rtt.<host>"), one per
-// interned route (PathSeriesName), and a count-min tally of records per
+// interned route (pathSeriesName), and a count-min tally of records per
 // destination device. Series are resolved through maps keyed by host and
 // by (src, dst, path hash), once per route of the batch, so steady-state
 // ingest builds no names. The batch is borrowed; no reference is

@@ -125,8 +125,8 @@ func (s *Stack) DestroyQP(dev *rnic.Device, qp *rnic.QP) {
 	}
 }
 
-// ActiveConnections returns the current traced connections on this host.
-func (s *Stack) ActiveConnections() []ConnEvent {
+// activeConnections returns the current traced connections on this host.
+func (s *Stack) activeConnections() []ConnEvent {
 	out := make([]ConnEvent, 0, len(s.active))
 	for _, ev := range s.active {
 		out = append(out, ev)

@@ -55,7 +55,7 @@ func TestModifyAndDestroyFireTracer(t *testing.T) {
 	if ev.RemoteGID != "gid-r" {
 		t.Fatalf("event remote GID: %+v", ev)
 	}
-	if got := len(s.ActiveConnections()); got != 1 {
+	if got := len(s.activeConnections()); got != 1 {
 		t.Fatalf("active = %d", got)
 	}
 
@@ -66,7 +66,7 @@ func TestModifyAndDestroyFireTracer(t *testing.T) {
 	if tr.destroyed[0].Tuple != ev.Tuple {
 		t.Fatal("destroy event tuple mismatch")
 	}
-	if len(s.ActiveConnections()) != 0 {
+	if len(s.activeConnections()) != 0 {
 		t.Fatal("connection still active after destroy")
 	}
 }
@@ -151,7 +151,7 @@ func TestRemodifyFiresDestroyThenModify(t *testing.T) {
 	if tr.modified[1].Tuple.SrcPort != 2000 {
 		t.Fatalf("second modify tuple = %v", tr.modified[1].Tuple)
 	}
-	if got := len(s.ActiveConnections()); got != 1 {
+	if got := len(s.activeConnections()); got != 1 {
 		t.Fatalf("active = %d after remodify", got)
 	}
 	// Re-modifying with the SAME tuple must not fire a destroy.

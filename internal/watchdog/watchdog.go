@@ -130,9 +130,6 @@ func (w *Watchdog) Stop() {
 	}
 }
 
-// Advisories returns everything raised so far.
-func (w *Watchdog) Advisories() []Advisory { return w.advisories }
-
 func (w *Watchdog) raise(a Advisory) {
 	a.At = w.c.Eng.Now()
 	w.advisories = append(w.advisories, a)

@@ -32,7 +32,7 @@ func TestHealthyClusterRaisesNothing(t *testing.T) {
 	w := New(c, Config{})
 	w.Start()
 	c.Run(2 * sim.Minute)
-	if got := w.Advisories(); len(got) != 0 {
+	if got := w.advisories; len(got) != 0 {
 		t.Fatalf("healthy cluster raised %v", got)
 	}
 	w.Stop()
@@ -58,7 +58,7 @@ func TestNamesRootCauseNoLaterThanProbing(t *testing.T) {
 	c.Run(2 * sim.Minute)
 
 	var advisoryAt sim.Time = -1
-	for _, a := range w.Advisories() {
+	for _, a := range w.advisories {
 		if a.Advice == ReplaceCable && a.Device == victim {
 			advisoryAt = a.At
 			if a.Delta <= 0 {
@@ -68,7 +68,7 @@ func TestNamesRootCauseNoLaterThanProbing(t *testing.T) {
 		}
 	}
 	if advisoryAt < 0 {
-		t.Fatalf("no ReplaceCable advisory: %v", w.Advisories())
+		t.Fatalf("no ReplaceCable advisory: %v", w.advisories)
 	}
 	var problemAt sim.Time = -1
 	for _, p := range c.Analyzer.Problems() {
@@ -99,13 +99,13 @@ func TestFlappingHostCableAdvisesIsolation(t *testing.T) {
 	}
 	c.Run(2 * sim.Minute)
 	found := false
-	for _, a := range w.Advisories() {
+	for _, a := range w.advisories {
 		if a.Advice == IsolateDevice && a.Device == victim {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no IsolateDevice advisory for the flapping RNIC: %v", w.Advisories())
+		t.Fatalf("no IsolateDevice advisory for the flapping RNIC: %v", w.advisories)
 	}
 }
 
@@ -119,13 +119,13 @@ func TestPFCAdvisory(t *testing.T) {
 	c.Net.SetPFCBlocked(link, true)
 	c.Run(2 * sim.Minute)
 	found := false
-	for _, a := range w.Advisories() {
+	for _, a := range w.advisories {
 		if a.Advice == InspectPFC {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no InspectPFC advisory: %v", w.Advisories())
+		t.Fatalf("no InspectPFC advisory: %v", w.advisories)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestUploadStreamSurvivesDisconnectAll(t *testing.T) {
 	}
 }
 
-// TestDisconnectAllAccounting: ConnCount tracks live sessions across
+// TestDisconnectAllAccounting: connCount tracks live sessions across
 // severs and redials.
 func TestDisconnectAllAccounting(t *testing.T) {
 	ctrl, tp := testBackend(t)
@@ -56,8 +56,8 @@ func TestDisconnectAllAccounting(t *testing.T) {
 	if err := cli.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.ConnCount(); n != 1 {
-		t.Fatalf("ConnCount = %d after register, want 1", n)
+	if n := srv.connCount(); n != 1 {
+		t.Fatalf("connCount = %d after register, want 1", n)
 	}
 	if n := srv.DisconnectAll(); n != 1 {
 		t.Fatalf("DisconnectAll severed %d sessions, want 1", n)
@@ -67,7 +67,7 @@ func TestDisconnectAllAccounting(t *testing.T) {
 	if err := cli.Err(); err != nil {
 		t.Fatalf("client did not recover: %v", err)
 	}
-	if n := srv.ConnCount(); n != 1 {
-		t.Fatalf("ConnCount = %d after redial, want 1", n)
+	if n := srv.connCount(); n != 1 {
+		t.Fatalf("connCount = %d after redial, want 1", n)
 	}
 }

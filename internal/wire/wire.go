@@ -242,9 +242,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// ConnCount reports the live connection count (observability for the
+// connCount reports the live connection count (observability for the
 // chaos harness and tests).
-func (s *Server) ConnCount() int {
+func (s *Server) connCount() int {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	return len(s.conns)

@@ -276,8 +276,8 @@ func TestRefusedUploadSetsErr(t *testing.T) {
 	if err := cli2.Err(); err != nil || sink.count() != 1 {
 		t.Fatalf("good upload after nacks: Err = %v, sink has %d", err, sink.count())
 	}
-	if srv.ConnCount() != 1 || srv2.ConnCount() != 1 {
-		t.Fatalf("a nack cost a connection: %d, %d live", srv.ConnCount(), srv2.ConnCount())
+	if srv.connCount() != 1 || srv2.connCount() != 1 {
+		t.Fatalf("a nack cost a connection: %d, %d live", srv.connCount(), srv2.connCount())
 	}
 }
 

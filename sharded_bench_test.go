@@ -15,22 +15,22 @@ import (
 	"fmt"
 	"testing"
 
-	"rpingmesh"
 	"rpingmesh/internal/core"
 	"rpingmesh/internal/sim"
 	"rpingmesh/internal/simnet"
+	"rpingmesh/internal/topo"
 )
 
-func benchCluster(b *testing.B, shards int) *rpingmesh.Cluster {
+func benchCluster(b *testing.B, shards int) *core.Cluster {
 	b.Helper()
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 4, ToRsPerPod: 8, AggsPerPod: 2, Spines: 4,
 		HostsPerToR: 8, RNICsPerHost: 1, // 4×8×8 = 256 hosts
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := rpingmesh.New(core.Config{
+	c, err := core.NewCluster(core.Config{
 		Topology: tp, Seed: 1234, Shards: shards,
 		Net: simnet.Config{PropDelay: 50 * sim.Microsecond},
 	})

@@ -10,10 +10,10 @@ import (
 	"os"
 	"testing"
 
-	"rpingmesh"
 	"rpingmesh/internal/core"
 	"rpingmesh/internal/faultgen"
 	"rpingmesh/internal/sim"
+	"rpingmesh/internal/topo"
 )
 
 const shardedGoldenPath = "testdata/sharded_golden.json"
@@ -27,16 +27,16 @@ func runShardedScenario(t testing.TB, shards int) string {
 
 // shardedScenario runs the sharded golden scenario to completion and
 // returns the finished cluster.
-func shardedScenario(t testing.TB, shards int) *rpingmesh.Cluster {
+func shardedScenario(t testing.TB, shards int) *core.Cluster {
 	t.Helper()
-	tp, err := rpingmesh.BuildClos(rpingmesh.ClosConfig{
+	tp, err := topo.BuildClos(topo.ClosConfig{
 		Pods: 4, ToRsPerPod: 2, AggsPerPod: 2, Spines: 2,
 		HostsPerToR: 2, RNICsPerHost: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := rpingmesh.New(core.Config{Topology: tp, Seed: 909, Shards: shards})
+	c, err := core.NewCluster(core.Config{Topology: tp, Seed: 909, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func shardedScenario(t testing.TB, shards int) *rpingmesh.Cluster {
 	c.StartAgents()
 	c.Run(30 * sim.Second)
 
-	in := rpingmesh.NewInjector(c, 91)
+	in := faultgen.NewInjector(c, 91)
 	horizon := 6 * sim.Minute
 	sched := in.GenerateSchedule(faultgen.ScheduleConfig{
 		Duration: horizon,
