@@ -29,12 +29,14 @@ test:
 # run where pods recycle packets onto other pods' devices concurrently.
 # The wire server calls its controller and sink from every connection at
 # once; the stalled-upload test is the one that holds a sink call open
-# while other connections' control ops run.
+# while other connections' control ops run. The daemon's Close must shut
+# the console and the wire server before the pipeline's final drain, an
+# order only concurrent uploads can break.
 race:
 	$(GO) test -race -count=2 ./internal/proto ./internal/analyzer ./internal/pipeline ./internal/tsdb ./internal/wire ./internal/alert ./internal/api ./internal/controller
 	$(GO) test -race -count=2 ./internal/fed ./internal/qos ./internal/sim ./internal/rnic ./internal/agent
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestShardedGoldenEquivalence' .
-	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark|TestConsoleReadsDuringCatchUp' ./internal/api
+	$(GO) test -race -count=4 -run 'TestHub|TestSSEStreamAndShutdownDrain|TestLongPollReplayAndPark|TestConsoleReadsDuringCatchUp|TestDaemon' ./internal/api
 	$(GO) test -race -count=4 -run 'TestFollower' ./internal/tsdb
 	$(GO) test -race -count=4 -run 'TestConsumerWakesOnEveryEnqueue' ./internal/pipeline
 	$(GO) test -race -count=4 -run 'TestControlOpsDuringStalledUpload' ./internal/wire

@@ -2,23 +2,22 @@ package main
 
 import (
 	"bytes"
-	"fmt"
+	"net"
 	"os"
-	"regexp"
-	"strconv"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"rpingmesh/internal/analyzer"
+	"rpingmesh/internal/api"
 	"rpingmesh/internal/controller"
-	"rpingmesh/internal/proto"
+	"rpingmesh/internal/pipeline"
 	"rpingmesh/internal/sim"
 	"rpingmesh/internal/topo"
-	"rpingmesh/internal/wire"
 )
 
 // syncBuffer is the daemon's stdout in tests: written by run, read by
@@ -65,130 +64,130 @@ func waitFor(t *testing.T, out *syncBuffer, prefix string) string {
 	}
 }
 
-var finalRE = regexp.MustCompile(`(?m)^final pipeline: in=(\d+) out=(\d+) `)
-
-// TestShutdownKeepsEveryAckedUpload: uploads keep arriving while the
-// daemon shuts down. Every upload it acked must have been delivered, and
-// nothing may be left queued: the wire server stops taking uploads
-// before the pipeline's final drain.
-func TestShutdownKeepsEveryAckedUpload(t *testing.T) {
+// TestRunServesUntilSignal boots the binary's run loop with both
+// listeners on :0 and short tickers, waits for every periodic line, and
+// stops it the way a SIGTERM does.
+func TestRunServesUntilSignal(t *testing.T) {
 	out := newSyncBuffer()
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-stats", "1h", "-analyzer-window", "1h", "-workers", "1"}, out, stop)
+		done <- run([]string{"-listen", "127.0.0.1:0", "-serve", "127.0.0.1:0",
+			"-stats", "20ms", "-analyzer-window", "20ms", "-workers", "1"}, out, stop)
 	}()
-	addr := waitFor(t, out, "wire-addr=")
-
-	const uploaders, ackedBeforeStop = 16, 200
-	var acked atomic.Int64
-	ready := make(chan struct{}) // closed at the ackedBeforeStop-th ack
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	for u := 0; u < uploaders; u++ {
-		cli, err := wire.Dial(addr)
+	for _, prefix := range []string{"ops console serving http://", "http-addr=", "rpmesh-controller serving ",
+		"wire-addr=", "analyzer: window=", "registered=", "  pipeline: in="} {
+		waitFor(t, out, prefix)
+	}
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			defer cli.Close()
-			host := topo.HostID(fmt.Sprintf("host-%d", u))
-			for seq := uint64(1); ; seq++ {
-				select {
-				case <-quit:
-					return
-				default:
-				}
-				b := &proto.RecordBatch{Host: host, Sent: sim.Time(seq), Seq: seq}
-				ri := b.AddRoute(proto.Route{Kind: proto.ToRMesh, SrcHost: host})
-				b.Append(ri, seq, 0, 0, sim.Microsecond, 0, 0, 0)
-				cli.UploadRecords(b)
-				if cli.Err() == nil && acked.Add(1) == ackedBeforeStop {
-					close(ready)
-				}
-			}
-		}(u)
-	}
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("only %d uploads acked", acked.Load())
-	}
-	stop <- syscall.SIGTERM
-	var err error
-	select {
-	case err = <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down")
 	}
-	close(quit)
-	wg.Wait()
+	waitFor(t, out, "shutting down")
+	waitFor(t, out, "final pipeline: in=0 out=0 ")
+}
+
+// clos builds the fabric a flag set describes.
+func clos(t *testing.T, c topo.ClosConfig) *topo.Topology {
+	t.Helper()
+	tp, err := topo.BuildClos(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tp
+}
 
-	m := finalRE.FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("no final pipeline line in:\n%s", out.String())
+// shape summarises a fabric for comparison.
+func shape(tp *topo.Topology) [4]int {
+	return [4]int{len(tp.Hosts), len(tp.RNICs), len(tp.Switches), len(tp.Links)}
+}
+
+// TestParseFlags: every flag lands in its field of the daemon's
+// configuration or of the process options, and nothing else moves.
+func TestParseFlags(t *testing.T) {
+	defClos := topo.ClosConfig{Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Spines: 4, HostsPerToR: 2, RNICsPerHost: 2}
+	withClos := func(f func(c *topo.ClosConfig)) func(*api.DaemonConfig, *options) {
+		return func(cfg *api.DaemonConfig, _ *options) {
+			c := defClos
+			f(&c)
+			cfg.Topology = clos(t, c)
+		}
 	}
-	in, _ := strconv.ParseInt(m[1], 10, 64)
-	dequeued, _ := strconv.ParseInt(m[2], 10, 64)
-	if in != dequeued {
-		t.Fatalf("final pipeline: %d enqueued, %d dequeued: %d uploads left queued", in, dequeued, in-dequeued)
+	cases := []struct {
+		args []string
+		want func(*api.DaemonConfig, *options)
+	}{
+		{nil, func(*api.DaemonConfig, *options) {}},
+		{[]string{"-listen", "127.0.0.1:9"}, func(_ *api.DaemonConfig, o *options) { o.listen = "127.0.0.1:9" }},
+		{[]string{"-pods", "3"}, withClos(func(c *topo.ClosConfig) { c.Pods = 3 })},
+		{[]string{"-tors", "3"}, withClos(func(c *topo.ClosConfig) { c.ToRsPerPod = 3 })},
+		{[]string{"-aggs", "4"}, withClos(func(c *topo.ClosConfig) { c.AggsPerPod = 4 })},
+		{[]string{"-spines", "2"}, withClos(func(c *topo.ClosConfig) { c.Spines = 2 })},
+		{[]string{"-hosts", "3"}, withClos(func(c *topo.ClosConfig) { c.HostsPerToR = 3 })},
+		{[]string{"-rnics", "1"}, withClos(func(c *topo.ClosConfig) { c.RNICsPerHost = 1 })},
+		{[]string{"-partitions", "2"}, func(c *api.DaemonConfig, _ *options) { c.Pipeline.Partitions = 2 }},
+		{[]string{"-capacity", "8"}, func(c *api.DaemonConfig, _ *options) { c.Pipeline.Capacity = 8 }},
+		{[]string{"-policy", "drop-newest"}, func(c *api.DaemonConfig, _ *options) { c.Pipeline.Policy = pipeline.DropNewest }},
+		{[]string{"-stats", "2s"}, func(_ *api.DaemonConfig, o *options) { o.statsEvery = 2 * time.Second }},
+		{[]string{"-workers", "3"}, func(c *api.DaemonConfig, _ *options) { c.Analyzer.Workers = 3 }},
+		{[]string{"-analyzer-window", "5s"}, func(c *api.DaemonConfig, _ *options) { c.Analyzer.Window = 5 * sim.Second }},
+		{[]string{"-localizer", "007"}, func(c *api.DaemonConfig, _ *options) { c.Analyzer.Localizer = analyzer.Localizer007 }},
+		{[]string{"-serve", ":0"}, func(c *api.DaemonConfig, _ *options) { c.Console.Addr = ":0" }},
+		{[]string{"-tenants", "gold:4,bronze:1:50"}, func(c *api.DaemonConfig, _ *options) {
+			c.Controller.Tenants = []controller.TenantConfig{{Name: "gold", Weight: 4}, {Name: "bronze", Weight: 1, MaxPPS: 50}}
+		}},
+		{[]string{"-tenant-pps", "500"}, func(c *api.DaemonConfig, _ *options) { c.Controller.TenantCapacityPPS = 500 }},
+		{[]string{"-cpuprofile", "cpu.out"}, func(_ *api.DaemonConfig, o *options) { o.cpuProfile = "cpu.out" }},
+		{[]string{"-memprofile", "mem.out"}, func(_ *api.DaemonConfig, o *options) { o.memProfile = "mem.out" }},
 	}
-	if n := acked.Load(); dequeued < n {
-		t.Fatalf("%d uploads acked, only %d dequeued", n, dequeued)
+	for _, c := range cases {
+		cfg, opt, err := parseFlags(c.args)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		wantCfg := api.DaemonConfig{
+			Topology: clos(t, defClos),
+			Pipeline: pipeline.Config{Partitions: 4, Capacity: 256, Policy: pipeline.Block},
+			Analyzer: analyzer.Config{Workers: runtime.GOMAXPROCS(0), Window: 20 * sim.Second},
+		}
+		wantOpt := options{listen: "127.0.0.1:7201", statsEvery: 10 * time.Second}
+		c.want(&wantCfg, &wantOpt)
+		if shape(cfg.Topology) != shape(wantCfg.Topology) {
+			t.Errorf("%v: fabric %v, want %v", c.args, shape(cfg.Topology), shape(wantCfg.Topology))
+		}
+		cfg.Topology, wantCfg.Topology = nil, nil
+		if !reflect.DeepEqual(cfg, wantCfg) || opt != wantOpt {
+			t.Errorf("%v:\n got %+v %+v\nwant %+v %+v", c.args, cfg, opt, wantCfg, wantOpt)
+		}
 	}
 }
 
-// TestAnalyzerTierStampsReceiveTime: an agent whose clock runs more than
-// a window behind stamps its uploads in the past. Through analyzerTier
-// the Analyzer sees the receive time, so timeouts toward that host are
-// not taken for host-down; handed the agent's own Sent, it would.
-func TestAnalyzerTierStampsReceiveTime(t *testing.T) {
-	tp, err := topo.BuildClos(topo.ClosConfig{
-		Pods: 1, ToRsPerPod: 2, AggsPerPod: 2, Spines: 2, HostsPerToR: 1, RNICsPerHost: 1,
-	})
+// TestRunRejectsBadValuesBeforeBinding: a bad -policy, -tenants or
+// -localizer fails run before it binds anything, so it reports the flag
+// even when -listen names an address that is taken, and prints nothing.
+func TestRunRejectsBadValuesBeforeBinding(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts := tp.AllHosts()
-	prober, skewed := hosts[0], hosts[1]
-	const window = 20 * sim.Second
-
-	// hostDownTimeouts feeds one window through deliver and reports what
-	// the Analyzer's host-down filter made of it.
-	hostDownTimeouts := func(deliver func(an *analyzer.Analyzer, b *proto.RecordBatch)) int {
-		eng := sim.New(0)
-		eng.RunUntil(sim.Time(time.Now().UnixNano()))
-		ctrl := controller.New(eng, tp, controller.Config{})
-		an := analyzer.New(eng, tp, ctrl, analyzer.Config{Window: window, Workers: 1})
-		now := eng.Now()
-
-		probe := &proto.RecordBatch{Host: prober, Sent: now, Seq: 1}
-		ri := probe.AddRoute(proto.Route{
-			Kind:   proto.ToRMesh,
-			SrcDev: tp.Hosts[prober].RNICs[0], SrcHost: prober,
-			DstDev: tp.Hosts[skewed].RNICs[0], DstHost: skewed,
-		})
-		probe.Append(ri, 1, now, proto.RecTimeout, 0, 0, 0, 0)
-		deliver(an, probe)
-
-		// The skewed host's own upload: its clock is 45 s behind.
-		own := &proto.RecordBatch{Host: skewed, Sent: now - 45*sim.Second, Seq: 1}
-		deliver(an, own)
-		if own.Sent != now-45*sim.Second {
-			t.Fatalf("delivered batch's Sent rewritten to %v", own.Sent)
+	defer taken.Close()
+	for _, bad := range [][]string{
+		{"-policy", "drop-all"},
+		{"-tenants", "gold:x"},
+		{"-localizer", "majority"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-listen", taken.Addr().String()}, bad...), &out, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), bad[0]+":") {
+			t.Errorf("%v: err = %v, want a %s error", bad, err, bad[0])
 		}
-		return an.Tick().HostDownTimeouts
-	}
-
-	if n := hostDownTimeouts(func(an *analyzer.Analyzer, b *proto.RecordBatch) { analyzerTier{an}.UploadRecords(b) }); n != 0 {
-		t.Fatalf("through analyzerTier: %d timeouts counted host-down, want 0", n)
-	}
-	if n := hostDownTimeouts(func(an *analyzer.Analyzer, b *proto.RecordBatch) { an.UploadRecords(b) }); n == 0 {
-		t.Fatal("with the agent's own Sent the timeout was not counted host-down: the test does not exercise the stamp")
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q", bad, out.String())
+		}
 	}
 }

@@ -8,6 +8,31 @@ import (
 	"rpingmesh/internal/topo"
 )
 
+// LinkVote is one voting outcome.
+type LinkVote struct {
+	Link  topo.LinkID
+	Votes int
+}
+
+// detectAbnormalLinks runs Algorithm 1 over the paths of anomalous probes
+// and returns every link sharing the highest vote count (ties are all
+// suspicious), sorted by link ID for determinism.
+func detectAbnormalLinks(paths [][]topo.LinkID) []LinkVote {
+	links, score := top(countLinkVotes(paths, 1, wholeVote))
+	var out []LinkVote
+	for _, l := range links {
+		out = append(out, LinkVote{Link: l, Votes: evidence(score)})
+	}
+	return out
+}
+
+// detectAbnormalSwitches is the footnote-5 variant: replacing "link" with
+// "switch" localizes the device instead of the cable. Each path votes for
+// every switch it traverses (at most once per path).
+func detectAbnormalSwitches(tp *topo.Topology, paths [][]topo.LinkID) []SwitchVote {
+	return switchVotes(top(countSwitchVotes(tp, paths, 1)))
+}
+
 func TestDetectAbnormalLinksEmpty(t *testing.T) {
 	if got := detectAbnormalLinks(nil); got != nil {
 		t.Fatalf("empty input = %v", got)

@@ -224,7 +224,7 @@ type Config struct {
 	// RetainWindows bounds the in-memory report history: only the most
 	// recent K WindowReports are kept, so memory is O(retention) even
 	// over simulated months (default 8192 ≈ 45 h of 20 s windows).
-	// Problems(), seriesOf and Reports() cover the retained horizon; the
+	// Problems() and Reports() cover the retained horizon; the
 	// full history lives in the tsdb the Analyzer publishes into.
 	RetainWindows int
 	// Workers shards the data-parallel stages (ToR-mesh RNIC statistics,
@@ -498,19 +498,6 @@ func (a *Analyzer) Problems() []Problem {
 		}
 	}
 	return out
-}
-
-// seriesOf extracts a per-window time series from the report history —
-// the SLA dashboards of Fig 5 are exactly such projections (e.g.
-// func(w) float64 { return w.Service.RTT.P50 }).
-func (a *Analyzer) seriesOf(name, unit string, f func(WindowReport) float64) *metrics.Series {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := &metrics.Series{Name: name, Unit: unit}
-	for _, w := range a.windows {
-		s.Append(w.End.Seconds(), f(w))
-	}
-	return s
 }
 
 // Tick runs one analysis window over everything uploaded since the last

@@ -229,28 +229,23 @@ func TestOneWayExcludedFromDelaySLA(t *testing.T) {
 	}
 }
 
-// seriesOf projects report history into a plottable series.
-func TestSeriesOf(t *testing.T) {
+// Reports keeps the window history in order, one report a window.
+func TestReportsHistory(t *testing.T) {
 	h := newHarness(t, Config{})
 	for i := 0; i < 3; i++ {
 		h.uploadAll(h.torMeshTraffic(3, nil))
 		h.tick()
 	}
-	s := h.an.seriesOf("rtt-p50", "ns", func(w WindowReport) float64 {
-		return w.Cluster.RTT.P50
-	})
-	if len(s.Points) != 3 {
-		t.Fatalf("series has %d points, want 3", len(s.Points))
+	reps := h.an.Reports()
+	if len(reps) != 3 {
+		t.Fatalf("%d reports, want 3", len(reps))
 	}
-	for i, p := range s.Points {
-		if p.V != float64(10*sim.Microsecond) {
-			t.Fatalf("point %d = %v", i, p.V)
+	for i, w := range reps {
+		if w.Cluster.RTT.P50 != float64(10*sim.Microsecond) {
+			t.Fatalf("window %d: RTT p50 = %v", i, w.Cluster.RTT.P50)
 		}
-		if i > 0 && p.T <= s.Points[i-1].T {
-			t.Fatal("series times not increasing")
+		if i > 0 && w.End <= reps[i-1].End {
+			t.Fatal("report ends not increasing")
 		}
-	}
-	if s.Sparkline(3) == "" {
-		t.Fatal("series does not render")
 	}
 }

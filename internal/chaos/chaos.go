@@ -251,16 +251,6 @@ func (sc *Scenario) setDefaults() {
 	}
 }
 
-// enabled reports whether the scenario runs a kind.
-func (sc *Scenario) enabled(k Kind) bool {
-	for _, have := range sc.Kinds {
-		if have == k {
-			return true
-		}
-	}
-	return false
-}
-
 // ReproArgs renders the scenario as rpmesh-soak flags that replay it
 // exactly — the line printed next to every violation.
 func (sc Scenario) ReproArgs() string {

@@ -370,10 +370,3 @@ func (c *Controller) RotateInterToR() {
 	// Rotation reshuffles which RNICs own tuples, changing tenant demand.
 	c.markTenantsDirty()
 }
-
-// interToRTuples reports the current tuple count for a ToR (for tests).
-func (c *Controller) interToRTuples(tor topo.DeviceID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.interToR[tor])
-}

@@ -13,7 +13,6 @@ package controller
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -277,9 +276,4 @@ func (c *Controller) applyTenantScale(host topo.HostID, lists []proto.Pinglist) 
 	for i := range lists {
 		lists[i].Interval = sim.Time(float64(lists[i].Interval) / share)
 	}
-}
-
-// sortTenantNames is a helper for deterministic test output.
-func sortTenantNames(grants []TenantGrant) {
-	sort.Slice(grants, func(i, j int) bool { return grants[i].Name < grants[j].Name })
 }

@@ -39,14 +39,6 @@ func RoCETuple(src, dst netip.Addr, srcPort uint16) FiveTuple {
 	return FiveTuple{SrcIP: src, DstIP: dst, SrcPort: srcPort, DstPort: RoCEPort, Proto: ProtoUDP}
 }
 
-// reverse returns the tuple of traffic flowing the other way. The paper's
-// responders send ACKs using the same source port as the probe (mimicking
-// how RNICs send RC ACKs), so a probe's ACK path is the ECMP path of the
-// reversed tuple.
-func (ft FiveTuple) reverse() FiveTuple {
-	return FiveTuple{SrcIP: ft.DstIP, DstIP: ft.SrcIP, SrcPort: ft.DstPort, DstPort: ft.SrcPort, Proto: ft.Proto}
-}
-
 func (ft FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d>%s:%d/%d", ft.SrcIP, ft.SrcPort, ft.DstIP, ft.DstPort, ft.Proto)
 }

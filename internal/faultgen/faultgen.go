@@ -53,9 +53,6 @@ const (
 	PCIeMisconfig
 )
 
-// numCauses is the count of distinct root causes (Table 2).
-const numCauses = 14
-
 func (c Cause) String() string {
 	switch c {
 	case FlappingPort:

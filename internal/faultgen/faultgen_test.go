@@ -49,9 +49,6 @@ func TestCauseStringsAndCategories(t *testing.T) {
 			t.Fatalf("CategoryOf(%v) = %v, want %v", c, got, want)
 		}
 	}
-	if numCauses != int(PCIeMisconfig) {
-		t.Fatalf("numCauses = %d, want %d", numCauses, int(PCIeMisconfig))
-	}
 }
 
 func TestInjectAndClearRNICDown(t *testing.T) {

@@ -352,15 +352,6 @@ func (n *Node) electLeader(w int) int {
 	return leader
 }
 
-// hasMajority reports whether this node currently hears a majority of
-// the federation within the HeartbeatMiss tolerance (quorum-availability
-// status for the console).
-func (n *Node) hasMajority(w int) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.aliveLocked(w)) >= n.cfg.majority()
-}
-
 // hasFreshMajority is the commit gate: a majority of the federation must
 // have beaconed in THIS step. The HeartbeatMiss tolerance is fine for
 // election, but letting a leader commit on heartbeats from before a

@@ -184,10 +184,6 @@ func (c *Counter) Observe(bad bool) {
 	}
 }
 
-// addGood and addBad record batches.
-func (c *Counter) addGood(n int64) { c.Total += n }
-func (c *Counter) addBad(n int64)  { c.Total += n; c.Bad += n }
-
 // Rate returns Bad/Total, or 0 when empty.
 func (c *Counter) Rate() float64 {
 	if c.Total == 0 {
@@ -257,34 +253,4 @@ func (s *Series) MeanOver(from, to float64) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// minOver and maxOver return extrema of values with T in [from, to);
-// both return 0 when the window is empty.
-func (s *Series) minOver(from, to float64) float64 {
-	m, ok := math.Inf(1), false
-	for _, p := range s.Points {
-		if p.T >= from && p.T < to {
-			m = math.Min(m, p.V)
-			ok = true
-		}
-	}
-	if !ok {
-		return 0
-	}
-	return m
-}
-
-func (s *Series) maxOver(from, to float64) float64 {
-	m, ok := math.Inf(-1), false
-	for _, p := range s.Points {
-		if p.T >= from && p.T < to {
-			m = math.Max(m, p.V)
-			ok = true
-		}
-	}
-	if !ok {
-		return 0
-	}
-	return m
 }

@@ -253,14 +253,6 @@ func TestCounter(t *testing.T) {
 	if c.Rate() != 0.5 {
 		t.Fatalf("Rate = %v", c.Rate())
 	}
-	c.addGood(4)
-	if c.Rate() != 0.25 {
-		t.Fatalf("Rate after addGood = %v", c.Rate())
-	}
-	c.addBad(8)
-	if c.Total != 16 || c.Bad != 10 {
-		t.Fatalf("counter = %+v", c)
-	}
 }
 
 func TestSeries(t *testing.T) {
@@ -280,13 +272,7 @@ func TestSeries(t *testing.T) {
 	if got := s.MeanOver(2, 4); got != 25 {
 		t.Fatalf("MeanOver[2,4) = %v", got)
 	}
-	if got := s.minOver(3, 7); got != 30 {
-		t.Fatalf("minOver = %v", got)
-	}
-	if got := s.maxOver(3, 7); got != 60 {
-		t.Fatalf("maxOver = %v", got)
-	}
-	if s.MeanOver(100, 200) != 0 || s.minOver(100, 200) != 0 || s.maxOver(100, 200) != 0 {
+	if s.MeanOver(100, 200) != 0 {
 		t.Fatal("empty-window aggregates should be 0")
 	}
 }

@@ -371,11 +371,6 @@ func PartitionKey(key string, n int) int {
 	return int(h % uint64(n))
 }
 
-// partitionOf reports which shard a host's uploads land on.
-func (p *Pipeline) partitionOf(host string) int {
-	return PartitionKey(host, len(p.parts))
-}
-
 // Upload implements proto.UploadSink: the compatibility path. The batch
 // is converted to flat form on entry (one allocation per batch) and its
 // queue residence is measured exactly.

@@ -241,12 +241,11 @@ func TestPerHostOrderingConcurrent(t *testing.T) {
 
 // A host always hashes to the same partition, and distinct hosts spread.
 func TestPartitioningIsStableAndSpread(t *testing.T) {
-	p := New(Config{Partitions: 8})
 	used := make(map[int]bool)
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("host-%d", i)
-		pi := p.partitionOf(name)
-		if pi != p.partitionOf(name) {
+		pi := PartitionKey(name, 8)
+		if pi != PartitionKey(name, 8) {
 			t.Fatal("partition not stable")
 		}
 		if pi < 0 || pi >= 8 {

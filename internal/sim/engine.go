@@ -34,9 +34,6 @@ const (
 	Hour             = 60 * Minute
 )
 
-// fromDuration converts a time.Duration to a sim.Time.
-func fromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Duration converts a sim.Time to a time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
@@ -387,10 +384,6 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Fired reports how many events have executed.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// pending reports how many events are queued (including cancelled ones not
-// yet reaped).
-func (e *Engine) pending() int { return len(e.queue) }
 
 // live reports how many non-cancelled events are queued.
 func (e *Engine) live() int { return len(e.queue) - e.deadCount }

@@ -267,8 +267,8 @@ func TestHeapMatchesOracle(t *testing.T) {
 		if !slices.ContainsFunc(got, func(l string) bool { return strings.Contains(l, "burst") }) {
 			t.Fatalf("seed %d: the compaction burst never ran", seed)
 		}
-		if e.pending() != 0 || len(e.free) == 0 {
-			t.Fatalf("seed %d: pending=%d free=%d after drain", seed, e.pending(), len(e.free))
+		if len(e.queue) != 0 || len(e.free) == 0 {
+			t.Fatalf("seed %d: pending=%d free=%d after drain", seed, len(e.queue), len(e.free))
 		}
 	}
 }

@@ -19,7 +19,7 @@ func TestCancelBoundedHeap(t *testing.T) {
 	for _, h := range handles {
 		h.Cancel()
 	}
-	if got := e.pending(); got > n/2 {
+	if got := len(e.queue); got > n/2 {
 		t.Fatalf("heap holds %d entries after cancelling %d timers; compaction did not run", got, n)
 	}
 	if got := e.live(); got != 1 {
@@ -31,7 +31,7 @@ func TestCancelBoundedHeap(t *testing.T) {
 		h := e.After(Hour, func() {})
 		h.Cancel()
 	}
-	if got := e.pending(); got > compactMinHeap+1 {
+	if got := len(e.queue); got > compactMinHeap+1 {
 		t.Fatalf("heap grew to %d entries under schedule/cancel churn", got)
 	}
 
@@ -77,8 +77,8 @@ func TestDoubleCancelAccounting(t *testing.T) {
 		t.Fatalf("deadCount = %d after double cancel, want 1", e.deadCount)
 	}
 	e.Run()
-	if e.deadCount != 0 || e.pending() != 0 {
-		t.Fatalf("deadCount=%d pending=%d after run, want 0/0", e.deadCount, e.pending())
+	if e.deadCount != 0 || len(e.queue) != 0 {
+		t.Fatalf("deadCount=%d pending=%d after run, want 0/0", e.deadCount, len(e.queue))
 	}
 }
 

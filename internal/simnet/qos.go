@@ -74,9 +74,6 @@ func (n *Net) initQoS() {
 	}
 }
 
-// qosEnabled reports whether the per-priority model is active.
-func (n *Net) qosEnabled() bool { return n.qos != nil }
-
 // ClassOf maps a DSCP codepoint to its traffic class (0 when disabled).
 func (n *Net) ClassOf(dscp uint8) int {
 	if n.qos == nil {
@@ -94,29 +91,6 @@ func (n *Net) ClassQueueBytesOn(l topo.LinkID, c int) float64 {
 		return 0
 	}
 	return n.qos.Ports[l].Bytes[c]
-}
-
-// classPausedOn reports whether a directed link's egress is PFC-paused
-// for a class.
-func (n *Net) classPausedOn(l topo.LinkID, c int) bool {
-	if n.qos == nil {
-		return false
-	}
-	return n.qos.Ports[l].Paused[c]
-}
-
-// InjectClassQueue adds standing queue to one class of a directed link —
-// the per-priority analogue of injectQueue, used to seed class-selective
-// PFC storms.
-func (n *Net) InjectClassQueue(l topo.LinkID, c int, bytes float64) {
-	if n.qos == nil {
-		n.injectQueueLegacy(l, bytes)
-		return
-	}
-	p := &n.qos.Ports[l]
-	n.qos.Integrate(p, c, bytes, n.links[l].badHeadroom)
-	n.links[l].queueBytes = p.Total()
-	n.armTick()
 }
 
 // RemapDSCP rebinds a DSCP codepoint to a different class mid-run — the

@@ -61,7 +61,7 @@ func TestQoSDisabledMatchesLegacy(t *testing.T) {
 
 func TestQoSClassOfPacketAndFlow(t *testing.T) {
 	r := newRig(t, Config{QoS: qos.Profile(4)})
-	if !r.net.qosEnabled() {
+	if r.net.qos == nil {
 		t.Fatal("QoS not enabled")
 	}
 	if r.net.ClassOf(dscpStorage) != 1 || r.net.ClassOf(dscpGPU) != 2 {
@@ -158,10 +158,10 @@ func TestQoSPauseStormClassSelective(t *testing.T) {
 			post(uint64(1000+k), dscpStorage)
 			post(uint64(2000+k), dscpGPU)
 			for li := range r.tp.Links {
-				if r.net.classPausedOn(topo.LinkID(li), 1) {
+				if r.net.qos.Ports[li].Paused[1] {
 					pausedStorage++
 				}
-				if r.net.classPausedOn(topo.LinkID(li), 2) {
+				if r.net.qos.Ports[li].Paused[2] {
 					pausedGPU++
 				}
 			}
@@ -241,7 +241,7 @@ func TestQoSPauseReleases(t *testing.T) {
 	r.eng.RunUntil(r.eng.Now() + 20*sim.Millisecond)
 	anyPaused := func() bool {
 		for li := range r.tp.Links {
-			if r.net.classPausedOn(topo.LinkID(li), 1) {
+			if r.net.qos.Ports[li].Paused[1] {
 				return true
 			}
 		}

@@ -513,24 +513,6 @@ func (n *Net) SetPFCBlocked(l topo.LinkID, blocked bool) {
 // misconfigured PFC headroom (#9): it drops during heavy congestion.
 func (n *Net) SetBadHeadroom(l topo.LinkID, bad bool) { n.links[l].badHeadroom = bad }
 
-// injectQueue adds standing queue to a directed link. Used to model
-// PFC storms from intra-host bottlenecks (#13/#14): the RNIC cannot drain,
-// pause frames propagate, and queues build toward that RNIC.
-func (n *Net) injectQueue(l topo.LinkID, bytes float64) {
-	if n.qos != nil {
-		// Per-priority fabric: legacy injections land on the default class.
-		n.InjectClassQueue(l, 0, bytes)
-		return
-	}
-	n.injectQueueLegacy(l, bytes)
-}
-
-func (n *Net) injectQueueLegacy(l topo.LinkID, bytes float64) {
-	ls := n.links[l]
-	ls.queueBytes = min(ls.queueBytes+bytes, n.cfg.MaxQueueBytes)
-	n.armTick()
-}
-
 // SetLinkExtraDelay sets a standing per-packet delay on a directed link,
 // modeling persistent PFC pausing: an intra-host bottleneck (PCIe
 // downgrade/misconfig, #13/#14) keeps the RNIC from draining, pause

@@ -397,6 +397,14 @@ func TestRemoveFlowFreesLink(t *testing.T) {
 	r.eng.RunUntil(r.eng.Now() + 10*sim.Millisecond)
 }
 
+// injectQueue adds standing queue to a directed link of a fabric without
+// QoS.
+func (n *Net) injectQueue(l topo.LinkID, bytes float64) {
+	ls := n.links[l]
+	ls.queueBytes = min(ls.queueBytes+bytes, n.cfg.MaxQueueBytes)
+	n.armTick()
+}
+
 func TestBadHeadroomDropsOnlyUnderCongestion(t *testing.T) {
 	r := newRig(t, Config{})
 	a, b := r.pairCrossPod(t)

@@ -80,23 +80,6 @@ func TestPartitionLookahead(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Per-link delays: deterministic pseudo-random per link ID so the
-			// minimum is non-trivial.
-			perLink := func(id LinkID) int64 { return 500 + int64(id*7919%311) }
-			want := int64(0)
-			first := true
-			for _, l := range topo.Links {
-				if sh.DevShard[l.From] == sh.DevShard[l.To] {
-					continue
-				}
-				if d := perLink(l.ID); first || d < want {
-					want, first = d, false
-				}
-			}
-			if got := sh.lookahead(perLink); got != want {
-				t.Fatalf("lookahead = %d, brute force = %d", got, want)
-			}
-
 			if bf := bruteForceCrossDistance(topo, &sh); sh.MinCrossPathLinks != bf {
 				t.Fatalf("MinCrossPathLinks = %d, brute force = %d", sh.MinCrossPathLinks, bf)
 			}
@@ -143,8 +126,7 @@ func bruteForceCrossDistance(t *Topology, sh *Sharding) int {
 
 // TestPairMinLinks: the directed per-pair distance matrix matches a
 // per-RNIC brute force, its off-diagonal minimum is MinCrossPathLinks,
-// the diagonal is zero, and pairLinks answers horizon queries with the
-// documented bounds behavior.
+// and the diagonal is zero.
 func TestPairMinLinks(t *testing.T) {
 	for _, pods := range []int{2, 4, 8} {
 		for _, maxShards := range []int{2, 3, pods} {
@@ -161,9 +143,6 @@ func TestPairMinLinks(t *testing.T) {
 				min := 0
 				for a := 0; a < sh.Shards; a++ {
 					for b := 0; b < sh.Shards; b++ {
-						if got := sh.pairLinks(a, b); got != sh.PairMinLinks[a][b] {
-							t.Fatalf("pairLinks(%d,%d) = %d, matrix says %d", a, b, got, sh.PairMinLinks[a][b])
-						}
 						if a == b {
 							if sh.PairMinLinks[a][b] != 0 {
 								t.Fatalf("diagonal [%d][%d] = %d, want 0", a, b, sh.PairMinLinks[a][b])
@@ -182,16 +161,6 @@ func TestPairMinLinks(t *testing.T) {
 					t.Fatalf("matrix min %d != MinCrossPathLinks %d", min, sh.MinCrossPathLinks)
 				}
 			})
-		}
-	}
-	// Out-of-range and same-shard queries answer "cannot interact".
-	sh, err := shardFabric(t, 4).Partition(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range [][2]int{{0, 0}, {-1, 1}, {1, -1}, {0, 99}, {99, 0}} {
-		if got := sh.pairLinks(q[0], q[1]); got != 0 {
-			t.Fatalf("pairLinks(%d,%d) = %d, want 0", q[0], q[1], got)
 		}
 	}
 }

@@ -163,16 +163,6 @@ func (t *Topology) AllHosts() []HostID {
 	return out
 }
 
-// rnicByIP resolves an RNIC by its IP address.
-func (t *Topology) rnicByIP(ip netip.Addr) (*RNIC, bool) {
-	for _, r := range t.RNICs {
-		if r.IP == ip {
-			return r, true
-		}
-	}
-	return nil, false
-}
-
 // Hasher selects one of n equal-cost next hops at a switch for a given
 // flow. Implementations hash the outer 5-tuple together with the switch
 // identity so per-hop choices are independent (see internal/ecmp).

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"net/netip"
 	"testing"
 	"testing/quick"
 )
@@ -93,17 +94,15 @@ func TestUniqueIPs(t *testing.T) {
 	}
 }
 
-func TestRNICByIP(t *testing.T) {
+func TestRNICIPsAreDistinct(t *testing.T) {
 	tp := smallClos(t)
+	seen := map[netip.Addr]DeviceID{}
 	for _, id := range tp.AllRNICs() {
-		r := tp.RNICs[id]
-		got, ok := tp.rnicByIP(r.IP)
-		if !ok || got.ID != id {
-			t.Fatalf("rnicByIP(%v) = %v, %v", r.IP, got, ok)
+		ip := tp.RNICs[id].IP
+		if other, dup := seen[ip]; dup {
+			t.Fatalf("%s and %s share IP %v", other, id, ip)
 		}
-	}
-	if _, ok := tp.rnicByIP(ipv4(0x01020304)); ok {
-		t.Fatal("rnicByIP of unknown IP succeeded")
+		seen[ip] = id
 	}
 }
 

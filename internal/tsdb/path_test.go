@@ -10,6 +10,11 @@ import (
 	"rpingmesh/internal/topo"
 )
 
+// pathSeriesName is the series name IngestRecords gives a route.
+func pathSeriesName(rt *proto.Route) string {
+	return pathName(rt.SrcDev, rt.DstDev, pathHash(rt.ProbePath))
+}
+
 func pathBatch(host string, sent sim.Time) *proto.RecordBatch {
 	return &proto.RecordBatch{Host: topo.HostID(host), Sent: sent}
 }

@@ -124,12 +124,3 @@ func (s *Stack) DestroyQP(dev *rnic.Device, qp *rnic.QP) {
 		t.QPDestroyed(ev)
 	}
 }
-
-// activeConnections returns the current traced connections on this host.
-func (s *Stack) activeConnections() []ConnEvent {
-	out := make([]ConnEvent, 0, len(s.active))
-	for _, ev := range s.active {
-		out = append(out, ev)
-	}
-	return out
-}

@@ -7,6 +7,13 @@ import (
 	"rpingmesh/internal/sim"
 )
 
+// connCount reports the live connection count.
+func (s *Server) connCount() int {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	return len(s.conns)
+}
+
 // TestUploadStreamSurvivesDisconnectAll: the chaos harness's WireSever
 // action in miniature. The server stays up but severs every live session
 // repeatedly in the middle of an upload stream; the client must redial

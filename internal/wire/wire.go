@@ -242,14 +242,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// connCount reports the live connection count (observability for the
-// chaos harness and tests).
-func (s *Server) connCount() int {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return len(s.conns)
-}
-
 // DisconnectAll severs every live connection without stopping the
 // listener — the chaos harness's wire fault. Clients are expected to
 // survive it: Client redials once per request, so the next round trip

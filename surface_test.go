@@ -34,6 +34,11 @@ type surface struct {
 	// included) carries, apart from declarations. Matching by name can
 	// miss a dead export but never flags a used one.
 	unreferenced []string
+	// testOnly lists every unexported top-level func and method outside
+	// bench/ (init and main aside) whose name no non-test file of its
+	// own directory carries, apart from declarations: only tests, if
+	// anything, call it.
+	testOnly []string
 }
 
 // export is one counted name and where it is declared: "dir.Name" or
@@ -42,9 +47,10 @@ type export struct{ key, name string }
 
 func scanSurface(root string) (surface, error) {
 	var s surface
-	var exports []export
+	var exports, private []export
 	decls := map[token.Pos]bool{}
 	used := map[string]bool{}
+	usedIn := map[string]map[string]bool{} // dir → names its non-test files carry
 	internalPkgs := map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -84,15 +90,24 @@ func scanSurface(root string) (surface, error) {
 				internalPkgs[dir] = true
 			}
 		}
-		names := declaredNames(f, decls)
+		names, funcs := declaredNames(f, decls)
 		if !inBench && f.Name.Name != "main" {
 			for _, e := range names {
 				exports = append(exports, export{key: dir + "." + e.key, name: e.name})
 			}
 		}
+		if !inBench {
+			for _, e := range funcs {
+				private = append(private, export{key: dir + "." + e.key, name: e.name})
+			}
+		}
+		if usedIn[dir] == nil {
+			usedIn[dir] = map[string]bool{}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !decls[id.Pos()] {
 				used[id.Name] = true
+				usedIn[dir][id.Name] = true
 			}
 			return true
 		})
@@ -109,24 +124,37 @@ func scanSurface(root string) (surface, error) {
 		}
 	}
 	sort.Strings(s.unreferenced)
+	for _, e := range private {
+		dir, _, _ := strings.Cut(e.key, ".")
+		if !usedIn[dir][e.name] {
+			s.testOnly = append(s.testOnly, e.key)
+		}
+	}
+	sort.Strings(s.testOnly)
 	return s, nil
 }
 
 // declaredNames marks the name of every top-level declaration, method and
 // struct field of f in decls (exported or not: a declaration is never a
-// reference) and returns the exported ones that count, keyed without the
-// directory.
-func declaredNames(f *ast.File, decls map[token.Pos]bool) []export {
-	var out []export
+// reference) and returns the exported ones that count and the unexported
+// funcs and methods, both keyed without the directory.
+func declaredNames(f *ast.File, decls map[token.Pos]bool) (exported, funcs []export) {
 	add := func(id *ast.Ident, key string, counts bool) {
 		decls[id.Pos()] = true
 		if counts && id.IsExported() {
-			out = append(out, export{key: key, name: id.Name})
+			exported = append(exported, export{key: key, name: id.Name})
 		}
 	}
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
+			if name := d.Name.Name; !d.Name.IsExported() && name != "init" && name != "main" {
+				key := name
+				if d.Recv != nil {
+					key = receiverName(d.Recv.List[0].Type) + "." + name
+				}
+				funcs = append(funcs, export{key: key, name: name})
+			}
 			if d.Recv == nil {
 				add(d.Name, d.Name.Name, true)
 				continue
@@ -155,7 +183,7 @@ func declaredNames(f *ast.File, decls map[token.Pos]bool) []export {
 			}
 		}
 	}
-	return out
+	return exported, funcs
 }
 
 // receiverName is the base type name of a method receiver: T, *T, T[P]
@@ -223,7 +251,8 @@ func checkAllow(unreferenced []string, allow map[string]bool) (missing, stale []
 // TestSurface prints the module's size and surface (quote it in
 // CHANGES.md: `go test -run TestSurface -v .`) and fails on an export
 // that nothing outside tests names, unless testdata/surface_allow.txt
-// lists it with a reason.
+// lists it with a reason, and on an unexported func or method that only
+// tests call, unless testdata/testonly_allow.txt does.
 func TestSurface(t *testing.T) {
 	s, err := scanSurface(".")
 	if err != nil {
@@ -233,6 +262,7 @@ func TestSurface(t *testing.T) {
 	t.Logf("exported identifiers: %d", s.exported)
 	t.Logf("internal packages: %d", s.packages)
 	t.Logf("unreferenced exports: %d", len(s.unreferenced))
+	t.Logf("test-only unexported funcs: %d", len(s.testOnly))
 
 	allow, err := readAllow("testdata/surface_allow.txt")
 	if err != nil {
@@ -244,6 +274,18 @@ func TestSurface(t *testing.T) {
 	}
 	for _, k := range stale {
 		t.Errorf("testdata/surface_allow.txt lists %s, which is referenced again or gone: drop the entry", k)
+	}
+
+	allow, err = readAllow("testdata/testonly_allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing, stale = checkAllow(s.testOnly, allow)
+	for _, k := range missing {
+		t.Errorf("%s is called only by tests: delete it, or move it into a _test.go file", k)
+	}
+	for _, k := range stale {
+		t.Errorf("testdata/testonly_allow.txt lists %s, which non-test code calls again or is gone: drop the entry", k)
 	}
 }
 
@@ -261,6 +303,10 @@ func TestSurfaceDefinition(t *testing.T) {
 	wantDead := []string{"internal/lib.Dead", "internal/lib.Thing.Unread", "internal/lib.Thing.Unused"}
 	if fmt.Sprint(s.unreferenced) != fmt.Sprint(wantDead) {
 		t.Errorf("unreferenced = %v, want %v", s.unreferenced, wantDead)
+	}
+	// helper is called by lib_test.go alone; cmd/tool's main is exempt.
+	if fmt.Sprint(s.testOnly) != "[internal/lib.helper]" {
+		t.Errorf("testOnly = %v, want [internal/lib.helper]", s.testOnly)
 	}
 
 	allow, err := readAllow("testdata/surface/allow.txt")
