@@ -66,8 +66,9 @@ type options struct {
 	cpuProfile, memProfile string
 }
 
-// parseFlags turns args into the daemon's configuration, rejecting every
-// bad value before anything binds.
+// parseFlags turns args into the daemon's configuration. A bad policy,
+// tenant list, localizer, interval or fabric is rejected here, before
+// anything binds.
 func parseFlags(args []string) (api.DaemonConfig, options, error) {
 	var cfg api.DaemonConfig
 	var opt options
@@ -95,6 +96,13 @@ func parseFlags(args []string) (api.DaemonConfig, options, error) {
 		return cfg, opt, err
 	}
 	cfg.Analyzer.Window = sim.Time(*anWindow)
+	// time.NewTicker panics on a non-positive interval.
+	if *anWindow <= 0 {
+		return cfg, opt, errors.New("-analyzer-window: must be positive")
+	}
+	if opt.statsEvery <= 0 {
+		return cfg, opt, errors.New("-stats: must be positive")
+	}
 
 	if err := analyzer.CheckLocalizer(cfg.Analyzer.Localizer); err != nil {
 		return cfg, opt, fmt.Errorf("-localizer: %w", err)

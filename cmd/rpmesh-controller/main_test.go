@@ -167,8 +167,8 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadValuesBeforeBinding: a bad -policy, -tenants or
-// -localizer fails run before it binds anything, so it reports the flag
+// TestRunRejectsBadValuesBeforeBinding: a bad -policy, -tenants,
+// -localizer, -analyzer-window or -stats fails run before it binds anything, so it reports the flag
 // even when -listen names an address that is taken, and prints nothing.
 func TestRunRejectsBadValuesBeforeBinding(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
@@ -180,6 +180,8 @@ func TestRunRejectsBadValuesBeforeBinding(t *testing.T) {
 		{"-policy", "drop-all"},
 		{"-tenants", "gold:x"},
 		{"-localizer", "majority"},
+		{"-analyzer-window", "0s"},
+		{"-stats", "-1s"},
 	} {
 		var out bytes.Buffer
 		err := run(append([]string{"-listen", taken.Addr().String()}, bad...), &out, nil)

@@ -43,7 +43,7 @@ type surface struct {
 
 // export is one counted name and where it is declared: "dir.Name" or
 // "dir.Type.Name" with dir relative to the module root.
-type export struct{ key, name string }
+type export struct{ key, name, dir string }
 
 func scanSurface(root string) (surface, error) {
 	var s surface
@@ -98,7 +98,7 @@ func scanSurface(root string) (surface, error) {
 		}
 		if !inBench {
 			for _, e := range funcs {
-				private = append(private, export{key: dir + "." + e.key, name: e.name})
+				private = append(private, export{key: dir + "." + e.key, name: e.name, dir: dir})
 			}
 		}
 		if usedIn[dir] == nil {
@@ -125,8 +125,7 @@ func scanSurface(root string) (surface, error) {
 	}
 	sort.Strings(s.unreferenced)
 	for _, e := range private {
-		dir, _, _ := strings.Cut(e.key, ".")
-		if !usedIn[dir][e.name] {
+		if !usedIn[e.dir][e.name] {
 			s.testOnly = append(s.testOnly, e.key)
 		}
 	}
@@ -282,7 +281,7 @@ func TestSurface(t *testing.T) {
 	}
 	missing, stale = checkAllow(s.testOnly, allow)
 	for _, k := range missing {
-		t.Errorf("%s is called only by tests: delete it, or move it into a _test.go file", k)
+		t.Errorf("%s is unexported and no non-test code calls it: delete it, or move it into a _test.go file", k)
 	}
 	for _, k := range stale {
 		t.Errorf("testdata/testonly_allow.txt lists %s, which non-test code calls again or is gone: drop the entry", k)
